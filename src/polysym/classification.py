@@ -2,10 +2,17 @@
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 
-from .polygon_core import SideTuple, edge_set, symmetry_profile, validate_walk
+from .polygon_core import (
+    SideTuple,
+    SymmetryProfile,
+    least_period,
+    side_symmetry,
+    validate_walk,
+)
 
 
 class FamilyTag(str, Enum):
@@ -44,8 +51,12 @@ def classify(t: SideTuple) -> Family:
 
     Walk validation errors propagate.
     """
-    profile = symmetry_profile(edge_set(validate_walk(t)))
-    n = t.n
+    validate_walk(t)
+    return family_of(t.n, side_symmetry(t.n, t.sides).profile)
+
+
+def family_of(n: int, profile: SymmetryProfile) -> Family:
+    """The family that ``classify`` assigns to a polygon with this profile."""
     if profile.axis_count == n:
         return Family(FamilyTag.REGULAR)
     if n % 3 == 0:
@@ -60,9 +71,25 @@ def classify(t: SideTuple) -> Family:
 
 def side_period(t: SideTuple) -> int:
     """Smallest p dividing n such that the sides repeat with period p."""
-    n = t.n
-    s = t.sides
-    for p in range(1, n + 1):
-        if n % p == 0 and all(s[i] == s[i % p] for i in range(p, n)):
-            return p
-    raise AssertionError("unreachable: period n always matches")
+    return least_period(t.sides)
+
+
+def generators(sides: Sequence[int], period: int) -> tuple[int, ...] | None:
+    """Generator block of sides with least period 1 or 3, else None.
+
+    Period 1 gives (a,).  A period-3 block with a repeated value gives
+    (a, b) with a the repeated value, whatever the block anchor; three
+    distinct values give the block as read.
+    """
+    if period == 1:
+        return (sides[0],)
+    if period != 3:
+        return None
+    x, y, z = sides[:3]
+    if x == z:
+        return (x, y)
+    if x == y:
+        return (x, z)
+    if y == z:
+        return (y, x)
+    return (x, y, z)

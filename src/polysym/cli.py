@@ -12,17 +12,15 @@ import json
 import sys
 
 from . import enumeration, oracle, render
-from .classification import classify, side_period
+from .classification import family_of, generators, side_period
 from .polygon_core import (
     InvalidSideTuple,
     SideTuple,
     WalkError,
-    canonical_form,
     canonical_period3,
-    edge_set,
+    canonical_sides,
     period3_profile,
-    revolutions,
-    symmetry_profile,
+    side_symmetry,
     validate_walk,
 )
 
@@ -132,32 +130,22 @@ def cmd_classify(args) -> int:
     except InvalidSideTuple as exc:
         return _fail_usage(str(exc))
     try:
-        family = classify(t)
-        u = revolutions(t)
-        canon = canonical_form(t)
+        validate_walk(t)
     except WalkError as exc:
         return _fail_check(f"not a valid polygon: {exc}")
-    profile = symmetry_profile(edge_set(validate_walk(t)))
-    p = side_period(t)
-    generators: list[int] | None = None
-    if p == 1:
-        generators = [t.sides[0]]
-    elif p == 3:
-        x, y, z = t.sides[:3]
-        if len({x, y, z}) == 2:
-            # (a,b) with a the repeated value, whatever the block anchor
-            generators = [x, y] if x == z else ([x, z] if x == y else [y, x])
-        else:
-            generators = [x, y, z]
+    sym = side_symmetry(t.n, t.sides)
+    profile = sym.profile
+    family = family_of(t.n, profile)
+    gens = generators(t.sides, sym.period)
     print(
         _dump(
             {
                 "n": t.n,
                 "m": family.m,
                 "family": family.tag.value,
-                "generators": generators,
-                "sides": list(canon.sides),
-                "u": u,
+                "generators": list(gens) if gens is not None else None,
+                "sides": list(canonical_sides(t.n, t.sides)),
+                "u": sum(t.sides) // t.n,
                 "rotation_order": profile.rotation_order,
                 "axis_count": profile.axis_count,
             }

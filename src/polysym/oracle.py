@@ -23,7 +23,13 @@ import time
 from dataclasses import dataclass
 
 from .enumeration import MTooSmall, enumerate_axial, enumerate_circular, euler_phi
-from .polygon_core import SideTuple, canonical_period3, period3_profile
+from .polygon_core import (
+    SideTuple,
+    canonical_period3,
+    canonical_sides,
+    period3_profile,
+    side_symmetry,
+)
 
 CENSUS_MAX_N = 12
 
@@ -81,11 +87,11 @@ def _require_family_m(m: int) -> None:
 
 
 # ---------------------------------------------------------------------------
-# fast primitives shared by the searches
+# fast walk check shared by the searches
 #
-# These duplicate polygon_core semantics without its object overhead; the
-# test suite pins them against the reference implementation exhaustively
-# for small n.
+# This duplicates validate_walk without its object overhead; the test
+# suite pins it against the reference implementation exhaustively for
+# small n.
 
 
 def _walk3(n: int, m: int, a: int, b: int, c: int, seen: list[int], stamp: int) -> bool:
@@ -131,37 +137,6 @@ def _walk3(n: int, m: int, a: int, b: int, c: int, seen: list[int], stamp: int) 
         return False
     # the closing c step lands on vertex 0: the total is divisible by n
     return True
-
-
-def _count_cyclic_matches(base: bytes, target: bytes, n: int) -> int:
-    """How many of the n cyclic shifts of ``base`` equal ``target``."""
-    dbl = base + base
-    count = 0
-    i = dbl.find(target)
-    while 0 <= i < n:
-        count += 1
-        i = dbl.find(target, i + 1)
-    return count
-
-
-def _profile_bytes(sb: bytes, n: int) -> tuple[int, int]:
-    """(rotation_order, axis_count) for a cycle with side bytes ``sb``."""
-    dbl = sb + sb
-    p = dbl.find(sb, 1)  # least nonzero shift fixing the sides; divides n
-    rc = bytes(n - x for x in reversed(sb))
-    rot = n // p + _count_cyclic_matches(rc, sb, n)
-    comp = bytes(n - x for x in sb)
-    axes = _count_cyclic_matches(comp, sb, n) + _count_cyclic_matches(sb[::-1], sb, n)
-    return rot, axes
-
-
-def _canonical_bytes(sb: bytes, n: int) -> bytes:
-    """Canonical form (least shift of sides or reversed complement)."""
-    dbl = sb + sb
-    best = min(dbl[i : i + n] for i in range(n))
-    rc = bytes(n - x for x in reversed(sb))
-    dbl = rc + rc
-    return min(best, min(dbl[i : i + n] for i in range(n)))
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +235,9 @@ def _census_shard(n: int, second: int):
     no rotation symmetry beyond the identity are Other by definition;
     they are screened out cheaply: a nontrivial rotation forces the side
     sequence to match a nonzero shift of itself, or a shift of its
-    reversed complement, and the latter needs sum(sides) = n^2 / 2.
+    reversed complement, and the latter needs sum(sides) = n^2 / 2.  The
+    screen searches the sides as bytes (n <= 12, so each side fits one);
+    the few survivors go through the side-sequence symmetry kernel.
     """
     step = tuple(tuple((q - p) % n for q in range(n)) for p in range(n))
     fam = n >= 9 and n % 3 == 0
@@ -290,12 +267,9 @@ def _census_shard(n: int, second: int):
             rc = bytes(n - x for x in reversed(sb))
             if (rc + rc).find(sb) < 0:
                 continue
-        rot, axes = _profile_bytes(sb, n)
-        if axes not in (0, rot):
-            raise AssertionError(
-                f"cycle {tuple(sides)} has {axes} axes but rotation order {rot}"
-            )
-        key = _canonical_bytes(sb, n)
+        profile = side_symmetry(n, sides).profile
+        rot, axes = profile.rotation_order, profile.axis_count
+        key = canonical_sides(n, sides)
         if axes == n:
             regular.add(key)
         elif fam and axes == m:
@@ -333,9 +307,9 @@ def census_full(n: int, jobs: int = 1) -> OracleReport:
         total += cnt
     return OracleReport(
         n=n,
-        axial_classes=frozenset(SideTuple(n, tuple(k)) for k in axial),
-        circular_classes=frozenset(SideTuple(n, tuple(k)) for k in circular),
-        regular_classes=frozenset(SideTuple(n, tuple(k)) for k in regular),
+        axial_classes=frozenset(SideTuple(n, k) for k in axial),
+        circular_classes=frozenset(SideTuple(n, k) for k in circular),
+        regular_classes=frozenset(SideTuple(n, k) for k in regular),
         other_count=len(other),
         census_size=total,
         elapsed=time.perf_counter() - start,

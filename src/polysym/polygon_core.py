@@ -10,6 +10,7 @@ the final step.  All arithmetic is exact integer arithmetic.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 
@@ -196,7 +197,11 @@ def reflect_edges(e: EdgeSet, axis: int) -> EdgeSet:
 
 
 def symmetry_profile(e: EdgeSet) -> SymmetryProfile:
-    """Scan all n rotations and all n mirrors that fix the edge set."""
+    """Scan all n rotations and all n mirrors that fix the edge set.
+
+    This is the geometric definition, O(n^2).  The program itself uses
+    ``side_symmetry``; the tests pin that kernel against this scan.
+    """
     n = e.n
     rot = sum(1 for k in range(n) if rotate_edges(e, k) == e)
     axes = sum(1 for a in range(n) if reflect_edges(e, a) == e)
@@ -229,13 +234,137 @@ def canonical_form(t: SideTuple) -> SideTuple:
     Raises a WalkError if the tuple is not a valid polygon.
     """
     validate_walk(t)
-    n = t.n
-    doubled = t.sides + t.sides
-    best = min(doubled[i : i + n] for i in range(n))
-    rc = tuple(n - e for e in reversed(t.sides))
-    doubled = rc + rc
-    rc_best = min(doubled[i : i + n] for i in range(n))
-    return SideTuple(n, min(best, rc_best))
+    return SideTuple(t.n, canonical_sides(t.n, t.sides))
+
+
+# ---------------------------------------------------------------------------
+# linear-time symmetry kernel on the side sequence
+#
+# A symmetry of a valid polygon maps its vertex sequence v_0..v_{n-1}
+# (v_0 = 0, v_{i+1} = v_i + e_i) onto itself read from some start j, in
+# either direction.  In side terms the sides equal a cyclic shift of one
+# of four sequences: themselves or their reversed complement (rotations
+# v -> v + v_j), their complement or their reversal (mirrors
+# v -> v_j - v).  Distinct matching shifts give distinct group elements,
+# and the shifts matching one sequence form a coset of the least period,
+# so each count is n/p or 0.
+
+
+def _failure(seq: Sequence[int]) -> list[int]:
+    """KMP failure function: fail[i] is the longest proper border of seq[:i+1]."""
+    fail = [0] * len(seq)
+    k = 0
+    for i in range(1, len(seq)):
+        x = seq[i]
+        while k and seq[k] != x:
+            k = fail[k - 1]
+        if seq[k] == x:
+            k += 1
+        fail[i] = k
+    return fail
+
+
+def _cyclic_period(fail: list[int]) -> int:
+    """Least p dividing n such that shifting the sequence by p fixes it."""
+    n = len(fail)
+    p = n - fail[-1]
+    return p if n % p == 0 else n
+
+
+def _first_shift(pattern: Sequence[int], fail: list[int], text: Sequence[int]) -> int:
+    """Least q with text[q:] + text[:q] == pattern, or -1 (KMP, O(n))."""
+    n = len(pattern)
+    k = 0
+    for i in range(2 * n - 1):
+        x = text[i - n] if i >= n else text[i]
+        while k and pattern[k] != x:
+            k = fail[k - 1]
+        if pattern[k] == x:
+            k += 1
+            if k == n:
+                return i - n + 1
+    return -1
+
+
+def least_period(sides: Sequence[int]) -> int:
+    """Smallest p dividing n such that the sides repeat with period p."""
+    return _cyclic_period(_failure(sides))
+
+
+def least_rotation(seq: Sequence[int]) -> int:
+    """Start of the lexicographically least rotation of seq (Booth, 1980).
+
+    K. S. Booth, "Lexicographically least circular substrings",
+    Information Processing Letters 10(4), 1980.  Linear time.
+    """
+    s = list(seq) * 2
+    fail = [-1] * len(s)
+    k = 0
+    for j in range(1, len(s)):
+        x = s[j]
+        i = fail[j - k - 1]
+        while i != -1 and x != s[k + i + 1]:
+            if x < s[k + i + 1]:
+                k = j - i - 1
+            i = fail[i]
+        if i == -1 and x != s[k]:
+            if x < s[k]:
+                k = j
+            fail[j - k] = -1
+        else:
+            fail[j - k] = i + 1
+    return k
+
+
+def canonical_sides(n: int, sides: Sequence[int]) -> tuple[int, ...]:
+    """canonical_form of a valid walk's sides, without re-validating it."""
+    sides = tuple(sides)
+    rc = tuple(n - e for e in reversed(sides))
+    k, j = least_rotation(sides), least_rotation(rc)
+    return min(sides[k:] + sides[:k], rc[j:] + rc[:j])
+
+
+@dataclass(frozen=True)
+class SideSymmetry:
+    """Symmetries of a valid polygon, read off its side sequence.
+
+    ``axes`` lists, ascending, every a in 0..n-1 whose mirror
+    v -> (a - v) mod n fixes the chord set; ``period`` is the least
+    period of the sides.
+    """
+
+    profile: SymmetryProfile
+    axes: tuple[int, ...]
+    period: int
+
+
+def side_symmetry(n: int, sides: Sequence[int]) -> SideSymmetry:
+    """Rotations, mirror axes and side period of a valid polygon in O(n).
+
+    One failure function gives the least period p; three KMP searches of
+    the sides in the doubled reversed complement, complement and
+    reversal find the first matching shift of each, and the rest follow
+    at steps of p.  The caller must pass the sides of a *valid* walk.
+    """
+    fail = _failure(sides)
+    p = _cyclic_period(fail)
+    reps = n // p
+    rev = sides[::-1]
+    rc = [n - e for e in rev]
+    rotations = reps * (2 if _first_shift(sides, fail, rc) >= 0 else 1)
+    # start j of each mirror-matching shift; its axis is a = v_j
+    starts = []
+    q = _first_shift(sides, fail, [n - e for e in sides])
+    if q >= 0:
+        starts += [q + r * p for r in range(reps)]
+    q = _first_shift(sides, fail, rev)
+    if q >= 0:
+        starts += [(n - q - r * p) % n for r in range(reps)]
+    axes: tuple[int, ...] = ()
+    if starts:
+        verts = [0, *itertools.accumulate(sides)]
+        axes = tuple(sorted(verts[j] % n for j in starts))
+    return SideSymmetry(SymmetryProfile(rotations, len(axes)), axes, p)
 
 
 def canonical_period3(n: int, block: tuple[int, int, int]) -> tuple[int, ...]:

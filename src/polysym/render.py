@@ -10,8 +10,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .classification import side_period
-from .polygon_core import SideTuple, edge_set, reflect_edges, validate_walk
+from .classification import generators, side_period
+from .polygon_core import SideTuple, side_symmetry, validate_walk
 
 
 @dataclass(frozen=True)
@@ -53,11 +53,8 @@ def _cell_elements(t: SideTuple, opts: RenderOptions) -> list[str]:
     sw = _fmt(opts.stroke_width)
     parts = []
     if opts.show_axes:
-        edges = edge_set(cycle)
         reach = radius * 1.06
-        for a in range(n):
-            if reflect_edges(edges, a) != edges:
-                continue
+        for a in side_symmetry(n, t.sides).axes:
             angle = math.pi * a / n
             dx, dy = reach * math.cos(angle), -reach * math.sin(angle)
             parts.append(
@@ -99,19 +96,10 @@ def caption_for(t: SideTuple) -> str:
     >>> caption_for(SideTuple(9, (4, 7, 4) * 3))
     'a=4;b=7'
     """
-    p = side_period(t)
-    if p == 1:
-        return f"a={t.sides[0]}"
-    if p == 3:
-        x, y, z = t.sides[:3]
-        if x == z:
-            return f"a={x};b={y}"
-        if x == y:
-            return f"a={x};b={z}"
-        if y == z:
-            return f"a={y};b={x}"
-        return f"a={x};b={y};c={z}"
-    return "sides=" + ",".join(str(e) for e in t.sides)
+    gens = generators(t.sides, side_period(t))
+    if gens is None:
+        return "sides=" + ",".join(str(e) for e in t.sides)
+    return ";".join(f"{name}={g}" for name, g in zip("abc", gens))
 
 
 def _caption_height(opts: RenderOptions) -> int:

@@ -143,6 +143,25 @@ class TestClassify:
         rc, _, err = run(["classify", "--n", "6", "--sides", "0,2,1,4,3,2"], capfd)
         assert rc == 2
 
+    @pytest.mark.parametrize(
+        "sides", [(1, 4, 1) * 3, (1, 4, 7) * 3, (2,) * 9, (1, 2, 1, 4, 3, 1), (2,) * 6]
+    )
+    def test_validates_the_walk_once(self, sides, monkeypatch, capfd):
+        calls = []
+        original = ps.polygon_core.validate_walk
+
+        def counted(t):
+            calls.append(t)
+            return original(t)
+
+        # patch every name a caller may look the function up by
+        for module in (ps.cli, ps.classification, ps.polygon_core, ps.render, ps.oracle):
+            if hasattr(module, "validate_walk"):
+                monkeypatch.setattr(module, "validate_walk", counted)
+        argv = ["classify", "--n", str(len(sides)), "--sides", ",".join(map(str, sides))]
+        run(argv, capfd)
+        assert len(calls) == 1
+
 
 class TestVerify:
     def test_census_nonagon(self, capfd):
