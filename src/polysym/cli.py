@@ -154,12 +154,12 @@ def cmd_classify(args) -> int:
     return 0
 
 
-def _verify_sweep(args) -> tuple[list[str], list[dict]]:
+def _verify_sweep(args, pool) -> tuple[list[str], list[dict]]:
     m_from, m_to = args.m
     lines = []
     results = []
     for m in range(m_from, m_to + 1):
-        report = oracle.sweep_period3(m, jobs=args.jobs)
+        report = oracle.sweep_period3(m, jobs=args.jobs, pool=pool)
         expected = {
             "axial": enumeration.count_axial(m),
             "circular": enumeration.count_circular(m),
@@ -187,9 +187,9 @@ def _verify_sweep(args) -> tuple[list[str], list[dict]]:
     return lines, results
 
 
-def _verify_census(args) -> tuple[list[str], list[dict]]:
+def _verify_census(args, pool) -> tuple[list[str], list[dict]]:
     n = args.n
-    report = oracle.census_full(n, jobs=args.jobs)
+    report = oracle.census_full(n, jobs=args.jobs, pool=pool)
     found = {
         "axial": len(report.axial_classes),
         "circular": len(report.circular_classes),
@@ -197,7 +197,7 @@ def _verify_census(args) -> tuple[list[str], list[dict]]:
     }
     if n % 3 == 0 and n >= 9:
         m = n // 3
-        sweep = oracle.sweep_period3(m, jobs=args.jobs)
+        sweep = oracle.sweep_period3(m, jobs=args.jobs, pool=pool)
         if report.axial_classes != sweep.axial_classes:
             raise oracle.VerificationError(f"census n={n}: axial differs from sweep")
         if report.circular_classes != sweep.circular_classes:
@@ -230,7 +230,7 @@ def _verify_census(args) -> tuple[list[str], list[dict]]:
     return lines, results
 
 
-def _verify_identity(args) -> tuple[list[str], list[dict]]:
+def _verify_identity(args, pool) -> tuple[list[str], list[dict]]:
     m_from, m_to = args.m
     lines = []
     results = []
@@ -241,7 +241,7 @@ def _verify_identity(args) -> tuple[list[str], list[dict]]:
     return lines, results
 
 
-def _verify_gcd(args) -> tuple[list[str], list[dict]]:
+def _verify_gcd(args, pool) -> tuple[list[str], list[dict]]:
     m_from, m_to = args.m
     families = ("axial", "circular") if args.family == "both" else (args.family,)
     lines = []
@@ -254,7 +254,22 @@ def _verify_gcd(args) -> tuple[list[str], list[dict]]:
     return lines, results
 
 
+def _verify_pool(args):
+    """The one worker pool a verify command shares across its searches
+    (None when it runs serially): as many workers as the widest search
+    can use, within ``--jobs`` and the usable CPUs."""
+    if args.mode == "census":
+        shards = args.n - 1
+    elif args.mode == "sweep":
+        shards = 3 * args.m[1] - 1
+    else:
+        shards = 1
+    return oracle.worker_pool(args.jobs, shards)
+
+
 def cmd_verify(args) -> int:
+    if args.jobs < 1:
+        return _fail_usage(f"--jobs must be at least 1, got {args.jobs}")
     if args.mode == "census":
         if args.n is None:
             return _fail_usage("verify --mode census needs --n")
@@ -275,7 +290,8 @@ def cmd_verify(args) -> int:
         "gcd": _verify_gcd,
     }[args.mode]
     try:
-        lines, results = runner(args)
+        with _verify_pool(args) as pool:
+            lines, results = runner(args, pool)
     except oracle.VerificationError as exc:
         return _fail_check(str(exc))
     for line in lines:

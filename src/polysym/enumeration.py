@@ -140,21 +140,22 @@ def enumerate_axial(m: int) -> set[AxialRep]:
 
 
 def enumerate_circular(m: int) -> set[CircularRep]:
-    """All circular classes for n = 3m, one least-shift triple per class."""
+    """All circular classes for n = 3m, one least-shift triple per class.
+
+    The generators of a class are distinct, so its least cyclic shift
+    is the one that starts with the smallest: a < b and a < c.
+    """
     _check_m(m)
+    hi = 3 * m - 1
+    coprime = [math.gcd(u, m) == 1 for u in range(3 * m)]
     out = set()
-    values = _generator_values(m)
-    for a in values:
-        for b in values:
-            if b == a:
-                continue
-            for c in values:
-                if c == a or c == b:
-                    continue
-                if (a, b, c) != min((a, b, c), (b, c, a), (c, a, b)):
+    for a in _generator_values(m):
+        for b in range(a + 3, hi, 3):
+            for c in range(a + 3, hi, 3):
+                if c == b:
                     continue
                 u = (a + b + c) // 3
-                if math.gcd(u, m) == 1:
+                if coprime[u]:
                     out.add(CircularRep(m, a, b, c, u))
     return out
 

@@ -16,9 +16,11 @@ union, so reports do not depend on the worker count.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 import multiprocessing
+import os
 import time
 from dataclasses import dataclass
 
@@ -87,56 +89,82 @@ def _require_family_m(m: int) -> None:
 
 
 # ---------------------------------------------------------------------------
-# fast walk check shared by the searches
+# worker pools
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on macOS and Windows
+        return os.cpu_count() or 1
+
+
+def pool_size(jobs: int, shards: int) -> int:
+    """Worker processes for ``shards`` tasks: ``jobs``, capped by the shard
+    count and by the CPUs this process may run on.  1 means run serially."""
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
+    return min(jobs, shards, _usable_cpus())
+
+
+@contextlib.contextmanager
+def worker_pool(jobs: int, shards: int):
+    """A process pool of ``pool_size(jobs, shards)`` workers, or None when
+    that size is 1.  One pool can serve many searches in a row."""
+    size = pool_size(jobs, shards)
+    if size == 1:
+        yield None
+        return
+    with multiprocessing.Pool(size) as pool:
+        yield pool
+
+
+def _run_shards(shard, tasks: list[tuple], jobs: int, pool) -> list:
+    """``shard(*task)`` for every task, on ``pool`` or on a pool of our own."""
+    if pool is not None:
+        return pool.starmap(shard, tasks)
+    with worker_pool(jobs, len(tasks)) as own:
+        if own is None:
+            return [shard(*task) for task in tasks]
+        return own.starmap(shard, tasks)
+
+
+# ---------------------------------------------------------------------------
+# bitset walk check shared by the sweep and the gcd verifier
 #
-# This duplicates validate_walk without its object overhead; the test
-# suite pins it against the reference implementation exhaustively for
-# small n.
+# The walk (a, b, c) * m visits k*s, k*s + a and k*s + a + b (k < m,
+# s = a + b + c) and ends at m*s, which is vertex 0 exactly when
+# s = 0 mod 3.  Its n positions are distinct exactly when the m
+# multiples of s are distinct and the three shifted copies of that set
+# cover all n vertices.  The tests pin this against validate_walk on
+# every triple for small m.
 
 
-def _walk3(n: int, m: int, a: int, b: int, c: int, seen: list[int], stamp: int) -> bool:
-    """validate_walk for the tuple (a, b, c) * m, on scratch buffers.
+def _walk_rows(m: int) -> list[list[int] | None]:
+    """For each s in 0..n-1: the n rotations of {k*s mod n : k < m} as
+    n-bit ints (rotation j at index j), or None when s != 0 mod 3 or the
+    set repeats a vertex."""
+    n = 3 * m
+    full = (1 << n) - 1
+    rows: list[list[int] | None] = [None] * n
+    for s in range(0, n, 3):
+        bits = 0
+        pos = 0
+        for _ in range(m):
+            if bits >> pos & 1:
+                break
+            bits |= 1 << pos
+            pos = (pos + s) % n
+        else:
+            rows[s] = [((bits << j) | (bits >> (n - j))) & full for j in range(n)]
+    return rows
 
-    ``seen`` is a caller-owned list of length n and ``stamp`` a value
-    never used with it before (stamp marking avoids clearing the list
-    between calls).
-    """
-    if (m * (a + b + c)) % n:
-        return False
-    pos = 0
-    seen[0] = stamp
-    for _ in range(m - 1):
-        pos += a
-        if pos >= n:
-            pos -= n
-        if seen[pos] == stamp:
-            return False
-        seen[pos] = stamp
-        pos += b
-        if pos >= n:
-            pos -= n
-        if seen[pos] == stamp:
-            return False
-        seen[pos] = stamp
-        pos += c
-        if pos >= n:
-            pos -= n
-        if seen[pos] == stamp:
-            return False
-        seen[pos] = stamp
-    pos += a
-    if pos >= n:
-        pos -= n
-    if seen[pos] == stamp:
-        return False
-    seen[pos] = stamp
-    pos += b
-    if pos >= n:
-        pos -= n
-    if seen[pos] == stamp:
-        return False
-    # the closing c step lands on vertex 0: the total is divisible by n
-    return True
+
+def _walk_ok(rows: list, full: int, a: int, b: int, c: int) -> bool:
+    """Whether (a, b, c) * m is a valid walk, given ``_walk_rows(m)``."""
+    n = len(rows)
+    r = rows[(a + b + c) % n]
+    return r is not None and (r[0] | r[a] | r[(a + b) % n]) == full
 
 
 # ---------------------------------------------------------------------------
@@ -144,65 +172,75 @@ def _walk3(n: int, m: int, a: int, b: int, c: int, seen: list[int], stamp: int) 
 
 
 def _sweep_shard(m: int, a_lo: int, a_hi: int):
-    """Scan (a, b, c) for a in [a_lo, a_hi); returns raw canonical keys."""
+    """Scan (a, b, c) for a in [a_lo, a_hi); returns the length-3 canonical
+    blocks of the classes found.
+
+    c runs over every value that closes the walk (a + b + c = 0 mod 3).
+    Validity and class are invariant under the 6-element group of cyclic
+    shifts and reversed complement, so each class is profiled once, at
+    the least triple of its orbit, which is its canonical block.
+    """
     n = 3 * m
+    full = (1 << n) - 1
+    rows = _walk_rows(m)
     axial: set = set()
     circular: set = set()
     regular: set = set()
     other: set = set()
-    seen = [0] * n
-    stamp = 0
     for a in range(a_lo, a_hi):
         for b in range(1, n):
-            for c in range(1, n):
-                stamp += 1
-                if not _walk3(n, m, a, b, c, seen, stamp):
+            ab = a + b
+            abn = ab % n
+            for c in range(3 - ab % 3, n, 3):
+                r = rows[(ab + c) % n]
+                if r is None or (r[0] | r[a] | r[abn]) != full:
                     continue
-                profile = period3_profile(n, (a, b, c))
+                # a smaller b or c gives a smaller cyclic shift
+                if b < a or c < a:
+                    continue
+                t = (a, b, c)
+                if canonical_period3(n, t)[:3] != t:
+                    continue
+                profile = period3_profile(n, t)
                 rot, axes = profile.rotation_order, profile.axis_count
-                key = canonical_period3(n, (a, b, c))
                 if axes == n:
-                    regular.add(key)
+                    regular.add(t)
                 elif axes == m:
-                    axial.add(key)
+                    axial.add(t)
                 elif axes == 0 and rot == m:
-                    circular.add(key)
+                    circular.add(t)
                 else:
-                    other.add(key)
+                    other.add(t)
     return axial, circular, regular, other
 
 
-def sweep_period3(m: int, jobs: int = 1) -> OracleReport:
+def sweep_period3(m: int, jobs: int = 1, pool=None) -> OracleReport:
     """Classify every valid 3-periodic walk on n = 3m vertices.
 
     All (n-1)^3 generator triples are tried; no residue or gcd
     conditions are applied, so the result is independent of the
-    enumeration module.
+    enumeration module.  ``pool`` (from ``worker_pool``) runs the
+    ``jobs`` shards on existing workers; the result does not depend on
+    either.
     """
     _require_family_m(m)
     n = 3 * m
     start = time.perf_counter()
-    bounds = _shard_bounds(1, n, jobs)
-    tasks = [(m, lo, hi) for lo, hi in bounds]
-    if len(tasks) <= 1:
-        parts = [_sweep_shard(*t) for t in tasks]
-    else:
-        with multiprocessing.Pool(min(jobs, len(tasks))) as pool:
-            parts = pool.starmap(_sweep_shard, tasks)
+    tasks = [(m, lo, hi) for lo, hi in _shard_bounds(1, n, jobs)]
     axial: set = set()
     circular: set = set()
     regular: set = set()
     other: set = set()
-    for ax, ci, re, ot in parts:
+    for ax, ci, re, ot in _run_shards(_sweep_shard, tasks, jobs, pool):
         axial |= ax
         circular |= ci
         regular |= re
         other |= ot
     return OracleReport(
         n=n,
-        axial_classes=frozenset(SideTuple(n, k) for k in axial),
-        circular_classes=frozenset(SideTuple(n, k) for k in circular),
-        regular_classes=frozenset(SideTuple(n, k) for k in regular),
+        axial_classes=frozenset(SideTuple(n, k * m) for k in axial),
+        circular_classes=frozenset(SideTuple(n, k * m) for k in circular),
+        regular_classes=frozenset(SideTuple(n, k * m) for k in regular),
         other_count=len(other),
         census_size=(n - 1) ** 3,
         elapsed=time.perf_counter() - start,
@@ -281,19 +319,19 @@ def _census_shard(n: int, second: int):
     return axial, circular, regular, other, count
 
 
-def census_full(n: int, jobs: int = 1) -> OracleReport:
-    """Classify every Hamiltonian cycle on n vertices ((n-1)!/2 of them)."""
+def census_full(n: int, jobs: int = 1, pool=None) -> OracleReport:
+    """Classify every Hamiltonian cycle on n vertices ((n-1)!/2 of them).
+
+    ``pool`` (from ``worker_pool``) runs the n - 1 shards on existing
+    workers; the result does not depend on it or on ``jobs``.
+    """
     if n < 3:
         raise NTooSmall(n)
     if n > CENSUS_MAX_N:
         raise NTooLarge(n)
     start = time.perf_counter()
     tasks = [(n, second) for second in range(1, n)]
-    if jobs <= 1:
-        parts = [_census_shard(*t) for t in tasks]
-    else:
-        with multiprocessing.Pool(min(jobs, len(tasks))) as pool:
-            parts = pool.starmap(_census_shard, tasks)
+    parts = _run_shards(_census_shard, tasks, jobs, pool)
     axial: set = set()
     circular: set = set()
     regular: set = set()
@@ -353,14 +391,20 @@ def _scan_axial_count(m: int) -> int:
 def _scan_circular_count(m: int) -> int:
     """Circular class count by scanning every residue-1 triple.
 
-    Ordered triples are counted with a byte table for the coprimality
-    test; every class is hit exactly three times (its cyclic shifts).
+    Ordered triples are counted with a coprimality table indexed by
+    a+b+c; for each pair (a, b) a stride-3 prefix sum of that table
+    counts every c in one lookup.  Every class is hit exactly three
+    times (its cyclic shifts).
     """
     n = 3 * m
     cop = [1 if math.gcd(u, m) == 1 else 0 for u in range(m)]
     ok = bytearray(9 * m)  # index a+b+c, multiples of 3 only
     for x in range(3, 9 * m, 3):
         ok[x] = cop[(x // 3) % m]
+    # upto[x] = ok[x] + ok[x-3] + ok[x-6] + ...
+    upto = list(ok)
+    for x in range(3, 9 * m):
+        upto[x] += upto[x - 3]
     vals = range(1, n - 1, 3)
     raw = 0
     for a in vals:
@@ -368,7 +412,8 @@ def _scan_circular_count(m: int) -> int:
             if b == a:
                 continue
             ab = a + b
-            raw += sum(ok[ab + 1 : ab + n - 1 : 3]) - ok[ab + a] - ok[ab + b]
+            # c = 1, 4, ..., n - 2, less c = a and c = b
+            raw += upto[ab + n - 2] - upto[ab - 2] - ok[ab + a] - ok[ab + b]
     if raw % 3:
         raise AssertionError(f"raw circular triple count not divisible by 3 at m={m}")
     return raw // 3
@@ -402,16 +447,15 @@ def verify_theorem_gcd(m: int, family: str) -> bool:
     """
     _require_family_m(m)
     n = 3 * m
+    rows = _walk_rows(m)
+    full = (1 << n) - 1
     vals = range(1, n - 1, 3)
-    seen = [0] * n
-    stamp = 0
     if family == "axial":
         for a in vals:
             for b in vals:
                 if b == a:
                     continue
-                stamp += 1
-                walk_ok = _walk3(n, m, a, b, a, seen, stamp)
+                walk_ok = _walk_ok(rows, full, a, b, a)
                 if walk_ok != (math.gcd(2 * a + b, n) == 3):
                     raise VerificationError(
                         f"axial biconditional fails at m={m}, (a,b)=({a},{b}): "
@@ -425,8 +469,7 @@ def verify_theorem_gcd(m: int, family: str) -> bool:
                 for c in vals:
                     if c == a or c == b:
                         continue
-                    stamp += 1
-                    walk_ok = _walk3(n, m, a, b, c, seen, stamp)
+                    walk_ok = _walk_ok(rows, full, a, b, c)
                     if walk_ok != (math.gcd(a + b + c, n) == 3):
                         raise VerificationError(
                             f"circular biconditional fails at m={m}, "

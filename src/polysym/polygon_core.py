@@ -55,6 +55,8 @@ class SideTuple:
             raise InvalidSideTuple(
                 f"expected {self.n} sides, got {len(self.sides)}"
             )
+        if min(self.sides) >= 1 and max(self.sides) <= self.n - 1:
+            return
         for e in self.sides:
             if not 1 <= e <= self.n - 1:
                 raise InvalidSideTuple(

@@ -227,11 +227,35 @@ class TestVerify:
         assert report["results"] == [{"m": 3, "family": "axial", "ok": True}]
 
     def test_jobs_flag_does_not_change_output(self, capfd):
-        rc1, out1, _ = run(["verify", "--mode", "sweep", "--m", "3..5"], capfd)
-        rc2, out2, _ = run(
-            ["verify", "--mode", "sweep", "--m", "3..5", "--jobs", "3"], capfd
-        )
-        assert (rc1, out1) == (rc2, out2)
+        rc1, out1, _ = run(["verify", "--mode", "sweep", "--m", "3..8"], capfd)
+        for jobs in ("2", "3"):
+            rc2, out2, _ = run(
+                ["verify", "--mode", "sweep", "--m", "3..8", "--jobs", jobs], capfd
+            )
+            assert (rc1, out1) == (rc2, out2)
+
+    @pytest.mark.parametrize("mode", ["sweep", "gcd"])
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_jobs_below_one_exits_two(self, capfd, mode, jobs):
+        rc, out, err = run(["verify", "--mode", mode, "--m", "3..5", "--jobs", jobs], capfd)
+        assert rc == 2
+        assert out == ""
+        assert err == f"error: --jobs must be at least 1, got {jobs}\n"
+
+    def test_one_pool_per_command(self, capfd, monkeypatch):
+        import polysym.oracle as oracle
+
+        opened = []
+        real = oracle.worker_pool
+
+        def counting(jobs, shards):
+            opened.append((jobs, shards))
+            return real(jobs, shards)
+
+        monkeypatch.setattr(oracle, "worker_pool", counting)
+        rc, _, _ = run(["verify", "--mode", "sweep", "--m", "3..6", "--jobs", "2"], capfd)
+        assert rc == 0
+        assert opened == [(2, 17)]  # the widest search, m = 6, has n - 1 shards
 
 
 class TestRender:

@@ -155,6 +155,22 @@ class TestEnumerateCircular:
                     trip, (r.b, r.c, r.a), (r.c, r.a, r.b)
                 )
 
+    def test_matches_full_triple_loop(self):
+        # every pairwise-distinct residue-1 triple, kept when it is its own
+        # least cyclic shift and its winding number is coprime to m
+        for m in range(3, 16):
+            values = range(1, 3 * m - 1, 3)
+            want = {
+                (a, b, c)
+                for a in values
+                for b in values
+                for c in values
+                if len({a, b, c}) == 3
+                and (a, b, c) == min((a, b, c), (b, c, a), (c, a, b))
+                and gcd((a + b + c) // 3, m) == 1
+            }
+            assert {(r.a, r.b, r.c) for r in ps.enumerate_circular(m)} == want, m
+
     def test_rep_validation(self):
         with pytest.raises(ValueError):
             CircularRep(m=3, a=1, b=4, c=1, u=2)  # repeated value

@@ -1,3 +1,7 @@
+import math
+import multiprocessing
+import os
+
 import pytest
 
 import polysym as ps
@@ -14,10 +18,12 @@ from polysym.oracle import (
     _scan_axial_count,
     _scan_circular_count,
     _shard_bounds,
-    _walk3,
+    _walk_ok,
+    _walk_rows,
+    pool_size,
 )
 from polysym.polygon_core import canonical_sides, side_symmetry
-from walks import slice_canonical, undirected_cycles
+from walks import reference_sweep, slice_canonical, undirected_cycles, walk3
 
 # (axial, circular, regular, other, census_size) per n, frozen from a
 # hand-checked run and re-derived below for n = 6 and 9 by the generic
@@ -135,6 +141,30 @@ class TestSweep:
         assert one.circular_classes == four.circular_classes
         assert one.regular_classes == four.regular_classes
 
+    @pytest.mark.parametrize("m", range(3, 9))
+    def test_matches_per_triple_reference(self, m):
+        axial, circular, regular, other_count = reference_sweep(m)
+        r = ps.sweep_period3(m)
+        assert r.axial_classes == frozenset(axial)
+        assert r.circular_classes == frozenset(circular)
+        assert r.regular_classes == frozenset(regular)
+        assert r.other_count == other_count
+
+    def test_shared_pool_matches_serial(self):
+        def found(r):
+            return (
+                r.axial_classes,
+                r.circular_classes,
+                r.regular_classes,
+                r.other_count,
+                r.census_size,
+            )
+
+        with multiprocessing.Pool(2) as pool:
+            for m in range(3, 7):
+                shared = ps.sweep_period3(m, jobs=2, pool=pool)
+                assert found(shared) == found(ps.sweep_period3(m)), m
+
     def test_rejects_m_too_small(self):
         with pytest.raises(MTooSmall):
             ps.sweep_period3(2)
@@ -152,22 +182,45 @@ class TestFastPathsAgainstGeometry:
             assert side_symmetry(n, sides).profile == p, t
             assert canonical_sides(n, sides) == slice_canonical(n, sides), t
 
-    @pytest.mark.parametrize("m", [3, 4])
+    @pytest.mark.parametrize("m", [3, 4, 5])
     def test_walk_kernel_matches_validate_walk(self, m):
         n = 3 * m
+        rows = _walk_rows(m)
+        full = (1 << n) - 1
         seen = [0] * n
         stamp = 0
         for a in range(1, n):
             for b in range(1, n):
                 for c in range(1, n):
                     stamp += 1
-                    fast = _walk3(n, m, a, b, c, seen, stamp)
                     try:
                         ps.validate_walk(SideTuple(n, (a, b, c) * m))
                         slow = True
                     except WalkError:
                         slow = False
-                    assert fast == slow, (a, b, c)
+                    assert _walk_ok(rows, full, a, b, c) == slow, (a, b, c)
+                    # the reference walk behind reference_sweep
+                    assert walk3(n, m, a, b, c, seen, stamp) == slow, (a, b, c)
+
+
+def slice_scan_circular_count(m):
+    """Ordered circular triples / 3, one slice sum per (a, b) pair: the
+    reference for the prefix-sum scan in ``_scan_circular_count``."""
+    n = 3 * m
+    cop = [1 if math.gcd(u, m) == 1 else 0 for u in range(m)]
+    ok = bytearray(9 * m)
+    for x in range(3, 9 * m, 3):
+        ok[x] = cop[(x // 3) % m]
+    vals = range(1, n - 1, 3)
+    raw = 0
+    for a in vals:
+        for b in vals:
+            if b == a:
+                continue
+            ab = a + b
+            raw += sum(ok[ab + 1 : ab + n - 1 : 3]) - ok[ab + a] - ok[ab + b]
+    assert raw % 3 == 0
+    return raw // 3
 
 
 class TestScanCounts:
@@ -175,6 +228,10 @@ class TestScanCounts:
         for m in range(3, 31):
             assert _scan_axial_count(m) == ps.count_axial(m)
             assert _scan_circular_count(m) == ps.count_circular(m)
+
+    def test_prefix_scan_matches_slice_scan(self):
+        for m in range(3, 61):
+            assert _scan_circular_count(m) == slice_scan_circular_count(m), m
 
 
 class TestIdentity:
@@ -228,3 +285,27 @@ class TestShardBounds:
             for a, b in bounds:
                 seen.extend(range(a, b))
             assert seen == list(range(lo, hi))
+
+
+class TestPoolSize:
+    """The pool size is computed, never tried: no test starts a big pool."""
+
+    def test_capped_by_jobs_shards_and_cpus(self):
+        cpus = len(os.sched_getaffinity(0))
+        assert pool_size(1, 100) == 1
+        assert pool_size(3, 2) == min(2, cpus)
+        assert pool_size(10**6, 10**6) == cpus
+        assert pool_size(2, 89) == min(2, cpus)
+
+    def test_cpu_count_without_affinity_call(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        assert pool_size(10**6, 10**6) == (os.cpu_count() or 1)
+
+    @pytest.mark.parametrize("jobs", [0, -1])
+    def test_rejects_jobs_below_one(self, jobs):
+        with pytest.raises(ValueError, match="jobs must be at least 1"):
+            pool_size(jobs, 8)
+        with pytest.raises(ValueError):
+            ps.sweep_period3(3, jobs=jobs)
+        with pytest.raises(ValueError):
+            ps.census_full(4, jobs=jobs)

@@ -48,6 +48,20 @@ class TestSideTuple:
         with pytest.raises(InvalidSideTuple):
             SideTuple(6, (6, 2, 1, 4, 3, 2))
 
+    @pytest.mark.parametrize(
+        "sides, bad",
+        [
+            ((0, 2, 1, 4, 3, 2), 0),
+            ((1, 2, 9, 4, -1, 2), 9),
+            ((1, 2, 1, 4, 3, 6), 6),
+            ((1, 2, 1, 7, 3, 0), 7),
+        ],
+    )
+    def test_out_of_range_message_names_the_first_bad_side(self, sides, bad):
+        with pytest.raises(InvalidSideTuple) as err:
+            SideTuple(6, sides)
+        assert str(err.value) == f"side {bad} outside valid range 1..5"
+
     def test_is_hashable_and_frozen(self):
         assert hash(HEXAGON) == hash(SideTuple(6, (1, 2, 1, 4, 3, 1)))
         with pytest.raises(AttributeError):

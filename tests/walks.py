@@ -1,7 +1,8 @@
-"""Side tuples of walks with a prescribed symmetry, drawn from a seeded RNG.
+"""Side tuples of walks with a prescribed symmetry, drawn from a seeded RNG,
+and per-triple reference versions of the oracle's walk check and sweep.
 
-Shared by the golden-output and kernel tests.  Every generator returns
-the sides of a valid walk on n vertices as a list.
+Shared by the golden-output, kernel and oracle tests.  Every generator
+returns the sides of a valid walk on n vertices as a list.
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ import math
 import random
 from itertools import permutations
 
-from polysym import SideTuple
+from polysym import SideTuple, canonical_period3, period3_profile
 
 
 def undirected_cycles(n):
@@ -100,3 +101,78 @@ def reversing_walk(rng: random.Random, n: int) -> list[int]:
 
 def random_walk(rng: random.Random, n: int) -> list[int]:
     return _sides([0, *rng.sample(range(1, n), n - 1)], n)
+
+
+def walk3(n: int, m: int, a: int, b: int, c: int, seen: list[int], stamp: int) -> bool:
+    """validate_walk for the tuple (a, b, c) * m, on scratch buffers.
+
+    ``seen`` is a caller-owned list of length n and ``stamp`` a value
+    never used with it before (stamp marking avoids clearing the list
+    between calls).
+    """
+    if (m * (a + b + c)) % n:
+        return False
+    pos = 0
+    seen[0] = stamp
+    for _ in range(m - 1):
+        pos += a
+        if pos >= n:
+            pos -= n
+        if seen[pos] == stamp:
+            return False
+        seen[pos] = stamp
+        pos += b
+        if pos >= n:
+            pos -= n
+        if seen[pos] == stamp:
+            return False
+        seen[pos] = stamp
+        pos += c
+        if pos >= n:
+            pos -= n
+        if seen[pos] == stamp:
+            return False
+        seen[pos] = stamp
+    pos += a
+    if pos >= n:
+        pos -= n
+    if seen[pos] == stamp:
+        return False
+    seen[pos] = stamp
+    pos += b
+    if pos >= n:
+        pos -= n
+    if seen[pos] == stamp:
+        return False
+    # the closing c step lands on vertex 0: the total is divisible by n
+    return True
+
+
+def reference_sweep(m: int):
+    """Walk and classify every triple in [1, n-1]^3, one at a time.
+
+    Returns the axial, circular and regular class sets (as SideTuples)
+    and the number of other classes, like ``sweep_period3``.
+    """
+    n = 3 * m
+    axial, circular, regular, other = set(), set(), set(), set()
+    seen = [0] * n
+    stamp = 0
+    for a in range(1, n):
+        for b in range(1, n):
+            for c in range(1, n):
+                stamp += 1
+                if not walk3(n, m, a, b, c, seen, stamp):
+                    continue
+                profile = period3_profile(n, (a, b, c))
+                rot, axes = profile.rotation_order, profile.axis_count
+                key = SideTuple(n, canonical_period3(n, (a, b, c)))
+                if axes == n:
+                    regular.add(key)
+                elif axes == m:
+                    axial.add(key)
+                elif axes == 0 and rot == m:
+                    circular.add(key)
+                else:
+                    other.add(key)
+    return axial, circular, regular, len(other)
