@@ -17,12 +17,12 @@ union, so reports do not depend on the worker count.
 from __future__ import annotations
 
 import contextlib
-import itertools
 import math
 import multiprocessing
 import os
 import time
-from dataclasses import dataclass
+from collections.abc import Mapping
+from dataclasses import dataclass, field
 
 from .enumeration import MTooSmall, enumerate_axial, enumerate_circular, euler_phi
 from .polygon_core import (
@@ -65,6 +65,8 @@ class OracleReport:
     cycle whose sides repeat with period 2).  Every search additionally
     asserts that no object has mirror axes without an equal number of
     rotations, so near-miss family members cannot pass unnoticed.
+    ``stats`` holds stage counters: for the census ``cycles``,
+    ``screened_out`` and ``profiled``; empty for the sweep.
     """
 
     n: int
@@ -74,6 +76,7 @@ class OracleReport:
     other_count: int
     census_size: int
     elapsed: float
+    stats: Mapping[str, int] = field(default_factory=dict, hash=False)
 
 
 @dataclass(frozen=True)
@@ -264,47 +267,116 @@ def _shard_bounds(lo: int, hi: int, jobs: int) -> list[tuple[int, int]]:
 # full census of Hamiltonian cycles
 
 
+def census_tasks(n: int) -> list[tuple[int, int]]:
+    """The shards of ``census_full(n)``: one per second vertex 1..n-2.
+
+    A cycle 0 -> second -> ... -> last -> 0 is counted in the direction
+    with second < last, so second = n - 1 has no cycles and gets no shard.
+    """
+    return [(n, second) for second in range(1, n - 1)]
+
+
+_TAIL = 5  # free vertices left when a cycle's tail comes from the cache
+
+
 def _census_shard(n: int, second: int):
-    """Examine all cycles 0 -> second -> ... -> 0 with second < last vertex.
+    """Examine all cycles 0 -> second -> ... -> last -> 0 with second < last.
 
     Every undirected Hamiltonian cycle shows up exactly once across the
-    shards second = 1..n-1 (fixing start 0 kills rotation of the start
-    point, second < last kills direction).  Cycles whose chord set has
-    no rotation symmetry beyond the identity are Other by definition;
-    they are screened out cheaply: a nontrivial rotation forces the side
-    sequence to match a nonzero shift of itself, or a shift of its
-    reversed complement, and the latter needs sum(sides) = n^2 / 2.  The
-    screen searches the sides as bytes (n <= 12, so each side fits one);
-    the few survivors go through the side-sequence symmetry kernel.
+    shards of ``census_tasks(n)`` (fixing start 0 kills rotation of the
+    start point, second < last kills direction).  The side bytes of every
+    cycle are built and screened (n <= 12, so each side fits one byte):
+
+    * a depth-first search over the free vertices extends a shared
+      prefix of side bytes by one side per level;
+    * once ``_TAIL`` vertices remain, every ordering of them comes from a
+      cache keyed by (previous vertex, remaining set).  An entry holds the
+      remaining sides including the closing side n - last, for the
+      orderings with last > second only, grouped by their side sum;
+    * so a cycle costs one ``prefix + tail`` concatenation and the screen.
+
+    Cycles whose chord set has no rotation symmetry beyond the identity
+    are Other by definition and are screened out: a nontrivial rotation
+    forces the side sequence to match a nonzero shift of itself, or a
+    shift of its reversed complement, and the latter needs
+    sum(sides) = n^2 / 2 (so never for odd n).  The few survivors go
+    through the side-sequence symmetry kernel.  Returns the four class
+    sets, the number of cycles screened and the number profiled.
     """
-    step = tuple(tuple((q - p) % n for q in range(n)) for p in range(n))
     fam = n >= 9 and n % 3 == 0
     m = n // 3
+    side = [[bytes(((q - p) % n,)) for q in range(n)] for p in range(n)]
+    # the reversed complement's bytes: x -> n - x
+    table = bytes((n - x) % 256 for x in range(256))
+    even = n % 2 == 0
+    half = n * n // 2  # sum(sides) when a reversing rotation exists
+    free = tuple(v for v in range(1, n) if v != second)
+    tail_len = min(_TAIL, len(free))
+    tails: dict = {}
+    groups: dict = {}
+    survivors: list[bytes] = []
+    count = 0
+
+    def tail(prev: int, rest: tuple) -> list[bytes]:
+        """Sides from ``prev`` through each ordering of ``rest`` back to 0."""
+        key = (prev, rest)
+        out = tails.get(key)
+        if out is None:
+            row = side[prev]
+            if len(rest) == 1:
+                last = rest[0]
+                out = [row[last] + side[last][0]] if last > second else []
+            else:
+                out = [
+                    row[v] + t
+                    for i, v in enumerate(rest)
+                    for t in tail(v, rest[:i] + rest[i + 1 :])
+                ]
+            tails[key] = out
+        return out
+
+    def grouped(prev: int, rest: tuple) -> list[tuple[int, list[bytes]]]:
+        """``tail(prev, rest)`` as (side sum, tails) pairs; one group for odd n."""
+        key = (prev, rest)
+        out = groups.get(key)
+        if out is None:
+            if even:
+                by_sum: dict = {}
+                for t in tail(prev, rest):
+                    by_sum.setdefault(sum(t), []).append(t)
+                out = list(by_sum.items())
+            else:
+                out = [(0, tail(prev, rest))]
+            groups[key] = out
+        return out
+
+    def extend(prefix: bytes, prev: int, rest: tuple) -> None:
+        nonlocal count
+        if len(rest) > tail_len:
+            row = side[prev]
+            for i, v in enumerate(rest):
+                extend(prefix + row[v], v, rest[:i] + rest[i + 1 :])
+            return
+        reversing = half - sum(prefix) if even else -1
+        for tail_sum, ts in grouped(prev, rest):
+            count += len(ts)
+            if tail_sum != reversing:
+                survivors.extend(
+                    [sb for sb in map(prefix.__add__, ts) if (sb + sb).find(sb, 1) < n]
+                )
+                continue
+            for sb in map(prefix.__add__, ts):
+                twice = sb + sb
+                if twice.find(sb, 1) < n or twice.find(sb[::-1].translate(table)) >= 0:
+                    survivors.append(sb)
+
+    extend(side[0][second], second, free)
     axial: set = set()
     circular: set = set()
     regular: set = set()
     other: set = set()
-    count = 0
-    pool = [v for v in range(1, n) if v != second]
-    target_sum = n * n  # == 2 * sum(sides) when a reversing rotation exists
-    for rest in itertools.permutations(pool):
-        if rest[-1] < second:
-            continue
-        count += 1
-        sides = [second]
-        add = sides.append
-        prev = second
-        for v in rest:
-            add(step[prev][v])
-            prev = v
-        add(n - prev)
-        sb = bytes(sides)
-        if (sb + sb).find(sb, 1) >= n:
-            if 2 * sum(sides) != target_sum:
-                continue
-            rc = bytes(n - x for x in reversed(sb))
-            if (rc + rc).find(sb) < 0:
-                continue
+    for sb in survivors:
+        sides = list(sb)
         profile = side_symmetry(n, sides).profile
         rot, axes = profile.rotation_order, profile.axis_count
         key = canonical_sides(n, sides)
@@ -316,33 +388,36 @@ def _census_shard(n: int, second: int):
             circular.add(key)
         else:
             other.add(key)
-    return axial, circular, regular, other, count
+    return axial, circular, regular, other, count, len(survivors)
 
 
 def census_full(n: int, jobs: int = 1, pool=None) -> OracleReport:
     """Classify every Hamiltonian cycle on n vertices ((n-1)!/2 of them).
 
-    ``pool`` (from ``worker_pool``) runs the n - 1 shards on existing
-    workers; the result does not depend on it or on ``jobs``.
+    ``pool`` (from ``worker_pool``) runs the shards of ``census_tasks(n)``
+    on existing workers; the result does not depend on it or on ``jobs``.
+    ``stats`` counts the cycles, those the screen discarded and those
+    profiled by the symmetry kernel.
     """
     if n < 3:
         raise NTooSmall(n)
     if n > CENSUS_MAX_N:
         raise NTooLarge(n)
     start = time.perf_counter()
-    tasks = [(n, second) for second in range(1, n)]
-    parts = _run_shards(_census_shard, tasks, jobs, pool)
+    parts = _run_shards(_census_shard, census_tasks(n), jobs, pool)
     axial: set = set()
     circular: set = set()
     regular: set = set()
     other: set = set()
     total = 0
-    for ax, ci, re, ot, cnt in parts:
+    profiled = 0
+    for ax, ci, re, ot, cnt, prof in parts:
         axial |= ax
         circular |= ci
         regular |= re
         other |= ot
         total += cnt
+        profiled += prof
     return OracleReport(
         n=n,
         axial_classes=frozenset(SideTuple(n, k) for k in axial),
@@ -351,6 +426,7 @@ def census_full(n: int, jobs: int = 1, pool=None) -> OracleReport:
         other_count=len(other),
         census_size=total,
         elapsed=time.perf_counter() - start,
+        stats={"cycles": total, "screened_out": total - profiled, "profiled": profiled},
     )
 
 
@@ -358,21 +434,30 @@ def census_full(n: int, jobs: int = 1, pool=None) -> OracleReport:
 # cross-checks against the enumeration module
 
 
-def theorem_axial_classes(m: int) -> frozenset[SideTuple]:
-    """Canonical forms of the classes produced by enumerate_axial."""
+def theorem_axial_blocks(m: int) -> frozenset[tuple[int, int, int]]:
+    """Canonical length-3 blocks of the classes produced by enumerate_axial."""
     n = 3 * m
     return frozenset(
-        SideTuple(n, canonical_period3(n, (r.a, r.b, r.a))) for r in enumerate_axial(m)
+        canonical_period3(n, (r.a, r.b, r.a))[:3] for r in enumerate_axial(m)
     )
+
+
+def theorem_circular_blocks(m: int) -> frozenset[tuple[int, int, int]]:
+    """Canonical length-3 blocks of the classes produced by enumerate_circular."""
+    n = 3 * m
+    return frozenset(
+        canonical_period3(n, (r.a, r.b, r.c))[:3] for r in enumerate_circular(m)
+    )
+
+
+def theorem_axial_classes(m: int) -> frozenset[SideTuple]:
+    """Canonical forms of the classes produced by enumerate_axial."""
+    return frozenset(SideTuple(3 * m, b * m) for b in theorem_axial_blocks(m))
 
 
 def theorem_circular_classes(m: int) -> frozenset[SideTuple]:
     """Canonical forms of the classes produced by enumerate_circular."""
-    n = 3 * m
-    return frozenset(
-        SideTuple(n, canonical_period3(n, (r.a, r.b, r.c)))
-        for r in enumerate_circular(m)
-    )
+    return frozenset(SideTuple(3 * m, b * m) for b in theorem_circular_blocks(m))
 
 
 def _scan_axial_count(m: int) -> int:

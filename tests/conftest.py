@@ -10,5 +10,5 @@ def census9():
 
 @pytest.fixture(scope="session")
 def census12():
-    # ~1 minute on one core; shared by the classification and acceptance tests.
+    # 15-20 s on one core; shared by the classification and acceptance tests.
     return ps.census_full(12)

@@ -257,6 +257,21 @@ class TestVerify:
         assert rc == 0
         assert opened == [(2, 17)]  # the widest search, m = 6, has n - 1 shards
 
+    def test_census_pool_is_sized_from_its_shards(self, capfd, monkeypatch):
+        import polysym.oracle as oracle
+
+        opened = []
+        real = oracle.worker_pool
+
+        def counting(jobs, shards):
+            opened.append((jobs, shards))
+            return real(jobs, shards)
+
+        monkeypatch.setattr(oracle, "worker_pool", counting)
+        rc, _, _ = run(["verify", "--mode", "census", "--n", "8", "--jobs", "2"], capfd)
+        assert rc == 0
+        assert opened == [(2, 6)]  # second vertex 1..n-2
+
 
 class TestRender:
     def test_writes_gallery(self, capfd, tmp_path):

@@ -1,3 +1,4 @@
+import functools
 import math
 import multiprocessing
 import os
@@ -20,10 +21,17 @@ from polysym.oracle import (
     _shard_bounds,
     _walk_ok,
     _walk_rows,
+    census_tasks,
     pool_size,
 )
 from polysym.polygon_core import canonical_sides, side_symmetry
-from walks import reference_sweep, slice_canonical, undirected_cycles, walk3
+from walks import (
+    reference_census_shard,
+    reference_sweep,
+    slice_canonical,
+    undirected_cycles,
+    walk3,
+)
 
 # (axial, circular, regular, other, census_size) per n, frozen from a
 # hand-checked run and re-derived below for n = 6 and 9 by the generic
@@ -59,6 +67,76 @@ def generic_census(n):
         else:
             other.add(c)
     return axial, circular, regular, other, count
+
+
+def census_results(r):
+    """The five results of a census report."""
+    return (
+        r.axial_classes,
+        r.circular_classes,
+        r.regular_classes,
+        r.other_count,
+        r.census_size,
+    )
+
+
+@functools.lru_cache(maxsize=None)
+def serial_census(n):
+    return ps.census_full(n)
+
+
+def reference_census(n):
+    """The census results of ``reference_census_shard``, merged over
+    second = 1..n-1."""
+    axial, circular, regular, other = set(), set(), set(), set()
+    count = 0
+    for second in range(1, n):
+        ax, ci, re, ot, cnt = reference_census_shard(n, second)
+        axial |= ax
+        circular |= ci
+        regular |= re
+        other |= ot
+        count += cnt
+    return (
+        frozenset(SideTuple(n, k) for k in axial),
+        frozenset(SideTuple(n, k) for k in circular),
+        frozenset(SideTuple(n, k) for k in regular),
+        len(other),
+        count,
+    )
+
+
+class TestCensusKernel:
+    """The prefix/tail census against the per-permutation reference."""
+
+    @pytest.mark.parametrize("n", range(3, 11))
+    def test_matches_permutation_reference(self, n):
+        assert census_results(serial_census(n)) == reference_census(n)
+
+    @pytest.mark.parametrize("n", range(3, 11))
+    def test_one_count_per_cycle(self, n):
+        assert serial_census(n).census_size == math.factorial(n - 1) // 2
+
+    @pytest.mark.parametrize("n", range(3, 11))
+    def test_stage_counters(self, n):
+        stats = serial_census(n).stats
+        assert set(stats) == {"cycles", "screened_out", "profiled"}
+        assert stats["screened_out"] + stats["profiled"] == stats["cycles"]
+        assert stats["cycles"] == serial_census(n).census_size
+        assert stats["cycles"] == math.factorial(n - 1) // 2
+
+    def test_jobs_do_not_change_results(self):
+        two = ps.census_full(10, jobs=2)
+        assert census_results(two) == census_results(serial_census(10))
+        assert two.stats == serial_census(10).stats
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_tasks_leave_out_only_an_empty_shard(self, n):
+        assert census_tasks(n) == [(n, second) for second in range(1, n - 1)]
+        assert reference_census_shard(n, n - 1)[4] == 0
+
+    def test_sweep_reports_no_stats(self):
+        assert ps.sweep_period3(3).stats == {}
 
 
 class TestCensus:

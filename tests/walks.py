@@ -1,5 +1,6 @@
 """Side tuples of walks with a prescribed symmetry, drawn from a seeded RNG,
-and per-triple reference versions of the oracle's walk check and sweep.
+per-triple reference versions of the oracle's walk check and sweep, and a
+per-permutation reference version of its census shard.
 
 Shared by the golden-output, kernel and oracle tests.  Every generator
 returns the sides of a valid walk on n vertices as a list.
@@ -12,6 +13,7 @@ import random
 from itertools import permutations
 
 from polysym import SideTuple, canonical_period3, period3_profile
+from polysym.polygon_core import canonical_sides, side_symmetry
 
 
 def undirected_cycles(n):
@@ -176,3 +178,56 @@ def reference_sweep(m: int):
                 else:
                     other.add(key)
     return axial, circular, regular, len(other)
+
+
+def reference_census_shard(n: int, second: int):
+    """Examine all cycles 0 -> second -> ... -> 0 with second < last vertex,
+    building each cycle's sides from scratch, one permutation at a time.
+
+    Over second = 1..n-1 every undirected Hamiltonian cycle shows up
+    once.  Returns the axial, circular, regular and other canonical
+    side sets and the number of cycles, like ``oracle._census_shard``
+    without its profiled count.  The screen keeps a cycle when its side
+    bytes match a nonzero shift of themselves or, with
+    sum(sides) = n^2 / 2, a shift of their reversed complement.
+    """
+    step = tuple(tuple((q - p) % n for q in range(n)) for p in range(n))
+    fam = n >= 9 and n % 3 == 0
+    m = n // 3
+    axial: set = set()
+    circular: set = set()
+    regular: set = set()
+    other: set = set()
+    count = 0
+    pool = [v for v in range(1, n) if v != second]
+    target_sum = n * n  # == 2 * sum(sides) when a reversing rotation exists
+    for rest in permutations(pool):
+        if rest[-1] < second:
+            continue
+        count += 1
+        sides = [second]
+        add = sides.append
+        prev = second
+        for v in rest:
+            add(step[prev][v])
+            prev = v
+        add(n - prev)
+        sb = bytes(sides)
+        if (sb + sb).find(sb, 1) >= n:
+            if 2 * sum(sides) != target_sum:
+                continue
+            rc = bytes(n - x for x in reversed(sb))
+            if (rc + rc).find(sb) < 0:
+                continue
+        profile = side_symmetry(n, sides).profile
+        rot, axes = profile.rotation_order, profile.axis_count
+        key = canonical_sides(n, sides)
+        if axes == n:
+            regular.add(key)
+        elif fam and axes == m:
+            axial.add(key)
+        elif fam and axes == 0 and rot == m:
+            circular.add(key)
+        else:
+            other.add(key)
+    return axial, circular, regular, other, count
