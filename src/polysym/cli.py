@@ -80,47 +80,42 @@ def cmd_count(args) -> int:
     return 0
 
 
-def _class_record(m: int, family: str, generators: tuple[int, ...]) -> dict:
-    n = 3 * m
-    if len(generators) == 2:
-        block = (generators[0], generators[1], generators[0])
-    else:
-        block = generators
-    profile = period3_profile(n, block)
-    return {
-        "n": n,
-        "m": m,
-        "family": family,
-        "generators": list(generators),
-        "sides": list(canonical_period3(n, block)),
-        "u": sum(block) // 3,
-        "rotation_order": profile.rotation_order,
-        "axis_count": profile.axis_count,
-    }
-
-
 def cmd_enumerate(args) -> int:
+    """One record per class, in class order, written out in one piece.
+
+    Each record's sides are its canonical 3-block repeated m times, so the
+    block's text is formatted once and repeated.  The JSON is the same as
+    ``json.dumps`` of the record dicts with compact separators.
+    """
     m = args.m
     if m <= 2:
         return _fail_usage(f"family polygons need m > 2, got m={m}")
-    if args.family == "axial":
-        reps = sorted(enumeration.enumerate_axial(m))
-        records = [_class_record(m, "axial", (r.a, r.b)) for r in reps]
+    n = 3 * m
+    family = args.family
+    if family == "axial":
+        reps = [((r.a, r.b), r.u) for r in enumeration.enumerate_axial(m)]
     else:
-        reps = sorted(enumeration.enumerate_circular(m))
-        records = [_class_record(m, "circular", (r.a, r.b, r.c)) for r in reps]
-    if args.format == "json":
-        print(_dump(records))
-    else:
-        print("n,m,family,a,b,c,u,rotation_order,axis_count,sides")
-        for rec in records:
-            gens = rec["generators"]
-            c = gens[2] if len(gens) == 3 else ""
-            sides = " ".join(str(e) for e in rec["sides"])
-            print(
-                f"{rec['n']},{rec['m']},{rec['family']},{gens[0]},{gens[1]},{c},"
-                f"{rec['u']},{rec['rotation_order']},{rec['axis_count']},{sides}"
+        reps = [((r.a, r.b, r.c), r.u) for r in enumeration.enumerate_circular(m)]
+    json_out = args.format == "json"
+    rows = [] if json_out else ["n,m,family,a,b,c,u,rotation_order,axis_count,sides"]
+    for gens, u in reps:
+        block = gens if len(gens) == 3 else (*gens, gens[0])
+        x, y, z = canonical_period3(n, block)[:3]
+        profile = period3_profile(n, block)
+        rot, axes = profile.rotation_order, profile.axis_count
+        if json_out:
+            sides = ",".join([f"{x},{y},{z}"] * m)
+            rows.append(
+                f'{{"n":{n},"m":{m},"family":"{family}",'
+                f'"generators":[{",".join(map(str, gens))}],"sides":[{sides}],'
+                f'"u":{u},"rotation_order":{rot},"axis_count":{axes}}}'
             )
+        else:
+            sides = " ".join([f"{x} {y} {z}"] * m)
+            c = gens[2] if len(gens) == 3 else ""
+            rows.append(f"{n},{m},{family},{gens[0]},{gens[1]},{c},{u},{rot},{axes},{sides}")
+    text = "[" + ",".join(rows) + "]" if json_out else "\n".join(rows)
+    sys.stdout.write(text + "\n")
     return 0
 
 
@@ -320,11 +315,9 @@ def cmd_render(args) -> int:
     if args.columns < 1:
         return _fail_usage(f"columns must be at least 1, got {args.columns}")
     if args.family == "axial":
-        tuples = [enumeration.expand_axial(r) for r in sorted(enumeration.enumerate_axial(m))]
+        tuples = [enumeration.expand_axial(r) for r in enumeration.enumerate_axial(m)]
     else:
-        tuples = [
-            enumeration.expand_circular(r) for r in sorted(enumeration.enumerate_circular(m))
-        ]
+        tuples = [enumeration.expand_circular(r) for r in enumeration.enumerate_circular(m)]
     doc = render.gallery_svg(tuples, columns=args.columns, opts=opts)
     try:
         with open(args.out, "w", encoding="utf-8") as fh:

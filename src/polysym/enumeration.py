@@ -125,30 +125,25 @@ class CircularRep:
             raise ValueError(f"u={u} shares a factor with m={m}")
 
 
-def enumerate_axial(m: int) -> set[AxialRep]:
-    """All axial classes for n = 3m; each ordered pair (a, b) is one class."""
-    _check_m(m)
-    out = set()
+def _axial_pairs(m: int):
+    """(a, b, u) of every axial class, in increasing (a, b) order."""
     for a in _generator_values(m):
         for b in _generator_values(m):
             if a == b:
                 continue
             u = (2 * a + b) // 3
             if math.gcd(u, m) == 1:
-                out.add(AxialRep(m, a, b, u))
-    return out
+                yield a, b, u
 
 
-def enumerate_circular(m: int) -> set[CircularRep]:
-    """All circular classes for n = 3m, one least-shift triple per class.
+def _circular_triples(m: int):
+    """(a, b, c, u) of every circular class, in increasing (a, b, c) order.
 
     The generators of a class are distinct, so its least cyclic shift
     is the one that starts with the smallest: a < b and a < c.
     """
-    _check_m(m)
     hi = 3 * m - 1
     coprime = [math.gcd(u, m) == 1 for u in range(3 * m)]
-    out = set()
     for a in _generator_values(m):
         for b in range(a + 3, hi, 3):
             for c in range(a + 3, hi, 3):
@@ -156,8 +151,21 @@ def enumerate_circular(m: int) -> set[CircularRep]:
                     continue
                 u = (a + b + c) // 3
                 if coprime[u]:
-                    out.add(CircularRep(m, a, b, c, u))
-    return out
+                    yield a, b, c, u
+
+
+def enumerate_axial(m: int) -> list[AxialRep]:
+    """All axial classes for n = 3m, a list in class order; each ordered
+    pair (a, b) is one class."""
+    _check_m(m)
+    return [AxialRep(m, a, b, u) for a, b, u in _axial_pairs(m)]
+
+
+def enumerate_circular(m: int) -> list[CircularRep]:
+    """All circular classes for n = 3m, a list in class order, one
+    least-shift triple per class."""
+    _check_m(m)
+    return [CircularRep(m, a, b, c, u) for a, b, c, u in _circular_triples(m)]
 
 
 def expand_axial(r: AxialRep) -> SideTuple:

@@ -24,7 +24,7 @@ import time
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 
-from .enumeration import MTooSmall, enumerate_axial, enumerate_circular, euler_phi
+from .enumeration import MTooSmall, _axial_pairs, _circular_triples, euler_phi
 from .polygon_core import (
     SideTuple,
     canonical_period3,
@@ -435,18 +435,18 @@ def census_full(n: int, jobs: int = 1, pool=None) -> OracleReport:
 
 
 def theorem_axial_blocks(m: int) -> frozenset[tuple[int, int, int]]:
-    """Canonical length-3 blocks of the classes produced by enumerate_axial."""
+    """Canonical length-3 blocks of the classes enumerate_axial lists."""
+    _require_family_m(m)
     n = 3 * m
-    return frozenset(
-        canonical_period3(n, (r.a, r.b, r.a))[:3] for r in enumerate_axial(m)
-    )
+    return frozenset(canonical_period3(n, (a, b, a))[:3] for a, b, _ in _axial_pairs(m))
 
 
 def theorem_circular_blocks(m: int) -> frozenset[tuple[int, int, int]]:
-    """Canonical length-3 blocks of the classes produced by enumerate_circular."""
+    """Canonical length-3 blocks of the classes enumerate_circular lists."""
+    _require_family_m(m)
     n = 3 * m
     return frozenset(
-        canonical_period3(n, (r.a, r.b, r.c))[:3] for r in enumerate_circular(m)
+        canonical_period3(n, (a, b, c))[:3] for a, b, c, _ in _circular_triples(m)
     )
 
 

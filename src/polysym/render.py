@@ -42,49 +42,53 @@ def _positions(n: int, cx: float, cy: float, r: float) -> list[tuple[float, floa
     return out
 
 
-def _cell_elements(t: SideTuple, opts: RenderOptions) -> list[str]:
-    """Drawing elements of one polygon, in local cell coordinates."""
-    n = t.n
-    cycle = validate_walk(t)
+def _frame(n: int, opts: RenderOptions) -> tuple[list[str], ...]:
+    """What every cell of one n shares under ``opts``, formatted once: the
+    start and end halves of a chord element at each vertex, the vertex
+    and label elements, and (with axes) the line of each mirror axis
+    a = 0..n-1."""
     size = opts.size_px
     cx = cy = size / 2.0
     radius = size * 0.38
-    pos = _positions(n, cx, cy, radius)
     sw = _fmt(opts.stroke_width)
-    parts = []
+    coords = [(_fmt(x), _fmt(y)) for x, y in _positions(n, cx, cy, radius)]
+    starts = [f'<line class="chord" x1="{x}" y1="{y}" ' for x, y in coords]
+    ends = [f'x2="{x}" y2="{y}" stroke="#1a1a1a" stroke-width="{sw}"/>' for x, y in coords]
+    dot = _fmt(max(1.5, size / 140.0))
+    fixed = [
+        f'<circle class="vertex" cx="{x}" cy="{y}" r="{dot}" fill="#1a1a1a"/>' for x, y in coords
+    ]
+    if opts.show_labels:
+        font = max(9, size // 26)
+        for k, (x, y) in enumerate(_positions(n, cx, cy, radius * 1.16)):
+            fixed.append(
+                f'<text class="label" x="{_fmt(x)}" y="{_fmt(y)}" '
+                f'font-size="{font}" font-family="sans-serif" fill="#1a1a1a" '
+                f'text-anchor="middle" dominant-baseline="central">{k}</text>'
+            )
+    axis_lines = []
     if opts.show_axes:
         reach = radius * 1.06
-        for a in side_symmetry(n, t.sides).axes:
+        for a in range(n):
             angle = math.pi * a / n
             dx, dy = reach * math.cos(angle), -reach * math.sin(angle)
-            parts.append(
+            axis_lines.append(
                 f'<line class="axis" x1="{_fmt(cx - dx)}" y1="{_fmt(cy - dy)}" '
                 f'x2="{_fmt(cx + dx)}" y2="{_fmt(cy + dy)}" stroke="#888888" '
                 f'stroke-width="{sw}" stroke-dasharray="6 4"/>'
             )
-    for i in range(n):
-        p = pos[cycle.vertices[i]]
-        q = pos[cycle.vertices[(i + 1) % n]]
-        parts.append(
-            f'<line class="chord" x1="{_fmt(p[0])}" y1="{_fmt(p[1])}" '
-            f'x2="{_fmt(q[0])}" y2="{_fmt(q[1])}" stroke="#1a1a1a" '
-            f'stroke-width="{sw}"/>'
-        )
-    dot = max(1.5, size / 140.0)
-    for k in range(n):
-        parts.append(
-            f'<circle class="vertex" cx="{_fmt(pos[k][0])}" cy="{_fmt(pos[k][1])}" '
-            f'r="{_fmt(dot)}" fill="#1a1a1a"/>'
-        )
-    if opts.show_labels:
-        font = max(9, size // 26)
-        lpos = _positions(n, cx, cy, radius * 1.16)
-        for k in range(n):
-            parts.append(
-                f'<text class="label" x="{_fmt(lpos[k][0])}" y="{_fmt(lpos[k][1])}" '
-                f'font-size="{font}" font-family="sans-serif" fill="#1a1a1a" '
-                f'text-anchor="middle" dominant-baseline="central">{k}</text>'
-            )
+    return starts, ends, fixed, axis_lines
+
+
+def _cell_elements(t: SideTuple, frame: tuple[list[str], ...]) -> list[str]:
+    """Drawing elements of one polygon, in local cell coordinates;
+    ``frame`` is ``_frame(t.n, opts)``."""
+    starts, ends, fixed, axis_lines = frame
+    verts = validate_walk(t).vertices
+    axes = side_symmetry(t.n, t.sides).axes if axis_lines else ()
+    parts = [axis_lines[a] for a in axes]
+    parts += [starts[v] + ends[w] for v, w in zip(verts, verts[1:] + verts[:1])]
+    parts += fixed
     return parts
 
 
@@ -119,7 +123,7 @@ def polygon_svg(t: SideTuple, opts: RenderOptions | None = None) -> str:
     """A standalone SVG document of one polygon."""
     opts = opts if opts is not None else RenderOptions()
     size = opts.size_px
-    cell = ['<g class="cell">'] + _cell_elements(t, opts) + ["</g>"]
+    cell = ['<g class="cell">'] + _cell_elements(t, _frame(t.n, opts)) + ["</g>"]
     return _svg_doc(size, size, cell)
 
 
@@ -139,17 +143,22 @@ def gallery_svg(
     cap = _caption_height(opts)
     font = max(10, size // 24)
     rows = (len(ts) + columns - 1) // columns
+    caption = (
+        f'<text class="caption" x="{_fmt(size / 2.0)}" y="{size + cap - 8}" '
+        f'font-size="{font}" font-family="sans-serif" fill="#1a1a1a" '
+        f'text-anchor="middle">'
+    )
+    frames: dict[int, tuple[list[str], ...]] = {}
     parts = []
     for i, t in enumerate(ts):
+        frame = frames.get(t.n)
+        if frame is None:
+            frame = frames[t.n] = _frame(t.n, opts)
         row, col = divmod(i, columns)
         x = col * size
         y = row * (size + cap)
         parts.append(f'<g class="cell" transform="translate({x},{y})">')
-        parts.extend(_cell_elements(t, opts))
-        parts.append(
-            f'<text class="caption" x="{_fmt(size / 2.0)}" y="{size + cap - 8}" '
-            f'font-size="{font}" font-family="sans-serif" fill="#1a1a1a" '
-            f'text-anchor="middle">{caption_for(t)}</text>'
-        )
+        parts.extend(_cell_elements(t, frame))
+        parts.append(f"{caption}{caption_for(t)}</text>")
         parts.append("</g>")
     return _svg_doc(columns * size, rows * (size + cap), parts)

@@ -1,10 +1,20 @@
+import random
 import re
 import xml.etree.ElementTree as ET
 
 import pytest
 
 import polysym as ps
-from polysym import RenderOptions, SideTuple
+from polysym import RenderOptions, SideTuple, render
+from polysym.cli import main
+from walks import (
+    family_walk,
+    mirrored_walk,
+    periodic_walk,
+    random_walk,
+    reference_cell_elements,
+    reversing_walk,
+)
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
@@ -145,3 +155,47 @@ class TestGallerySvg:
     def test_rejects_bad_column_count(self):
         with pytest.raises(ValueError):
             ps.gallery_svg([AXIAL9], columns=0)
+
+
+class TestGalleryFrame:
+    """Each cell is drawn from a frame formatted once per n and options."""
+
+    OPTIONS = (
+        RenderOptions(),
+        RenderOptions(show_axes=True, show_labels=True),
+        RenderOptions(size_px=64, stroke_width=0.5, show_axes=True),
+        RenderOptions(size_px=501, stroke_width=2.25, show_labels=True),
+    )
+
+    @staticmethod
+    def walks(rng: random.Random, n: int) -> list[list[int]]:
+        out = [[1] * n, random_walk(rng, n), mirrored_walk(rng, n, n % 2 == 0)]
+        divisors = [d for d in range(2, n) if n % d == 0]
+        if divisors:
+            out.append(periodic_walk(rng, n, divisors[0]))
+        if n % 2 == 0:
+            out.append(reversing_walk(rng, n))
+        if n % 3 == 0:
+            out += [family_walk(rng, n, "axial"), family_walk(rng, n, "circular")]
+        return out
+
+    def test_cell_elements_match_the_per_cell_reference(self):
+        rng = random.Random(2019)
+        for n in range(9, 61):
+            walks = [SideTuple(n, w) for w in self.walks(rng, n)]
+            for opts in self.OPTIONS:
+                frame = render._frame(n, opts)
+                for t in walks:
+                    assert render._cell_elements(t, frame) == reference_cell_elements(t, opts)
+
+    def test_numbers_are_formatted_once_per_gallery(self, monkeypatch, tmp_path, capsys):
+        calls = []
+        fmt = render._fmt
+        monkeypatch.setattr(render, "_fmt", lambda x: calls.append(x) or fmt(x))
+        argv = ["render", "--m", "8", "--family", "circular", "--axes", "--labels"]
+        assert main(argv + ["--out", str(tmp_path / "g.svg")]) == 0
+        n, cells = 24, ps.count_circular(8)
+        assert capsys.readouterr().out.endswith(f": {cells} classes\n")
+        # one frame: vertex, label and axis coordinates, O(n) in all;
+        # formatting per cell would take at least 2n calls per cell
+        assert 0 < len(calls) <= 10 * n < 2 * n * cells

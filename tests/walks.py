@@ -1,9 +1,10 @@
 """Side tuples of walks with a prescribed symmetry, drawn from a seeded RNG,
-per-triple reference versions of the oracle's walk check and sweep, and a
-per-permutation reference version of its census shard.
+per-triple reference versions of the oracle's walk check and sweep, a
+per-permutation reference version of its census shard, and per-record and
+per-cell reference versions of the ``enumerate`` and ``render`` output.
 
-Shared by the golden-output, kernel and oracle tests.  Every generator
-returns the sides of a valid walk on n vertices as a list.
+Shared by the golden-output, kernel, oracle, CLI and render tests.  Every
+generator returns the sides of a valid walk on n vertices as a list.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import math
 import random
 from itertools import permutations
 
-from polysym import SideTuple, canonical_period3, period3_profile
+from polysym import SideTuple, canonical_period3, period3_profile, validate_walk
 from polysym.polygon_core import canonical_sides, side_symmetry
 
 
@@ -231,3 +232,83 @@ def reference_census_shard(n: int, second: int):
         else:
             other.add(key)
     return axial, circular, regular, other, count
+
+
+def reference_class_record(m: int, family: str, generators: tuple[int, ...]) -> dict:
+    """One ``enumerate`` record, built field by field from a full side tuple."""
+    n = 3 * m
+    if len(generators) == 2:
+        block = (generators[0], generators[1], generators[0])
+    else:
+        block = generators
+    profile = period3_profile(n, block)
+    return {
+        "n": n,
+        "m": m,
+        "family": family,
+        "generators": list(generators),
+        "sides": list(canonical_period3(n, block)),
+        "u": sum(block) // 3,
+        "rotation_order": profile.rotation_order,
+        "axis_count": profile.axis_count,
+    }
+
+
+def _fmt(x: float) -> str:
+    s = f"{x:.3f}"
+    return "0.000" if s == "-0.000" else s
+
+
+def _positions(n: int, cx: float, cy: float, r: float) -> list[tuple[float, float]]:
+    out = []
+    for k in range(n):
+        angle = 2.0 * math.pi * k / n
+        out.append((cx + r * math.cos(angle), cy - r * math.sin(angle)))
+    return out
+
+
+def reference_cell_elements(t: SideTuple, opts) -> list[str]:
+    """The drawing elements of one gallery cell, every number formatted
+    afresh for this cell (``opts`` is a ``RenderOptions``)."""
+    n = t.n
+    cycle = validate_walk(t)
+    size = opts.size_px
+    cx = cy = size / 2.0
+    radius = size * 0.38
+    pos = _positions(n, cx, cy, radius)
+    sw = _fmt(opts.stroke_width)
+    parts = []
+    if opts.show_axes:
+        reach = radius * 1.06
+        for a in side_symmetry(n, t.sides).axes:
+            angle = math.pi * a / n
+            dx, dy = reach * math.cos(angle), -reach * math.sin(angle)
+            parts.append(
+                f'<line class="axis" x1="{_fmt(cx - dx)}" y1="{_fmt(cy - dy)}" '
+                f'x2="{_fmt(cx + dx)}" y2="{_fmt(cy + dy)}" stroke="#888888" '
+                f'stroke-width="{sw}" stroke-dasharray="6 4"/>'
+            )
+    for i in range(n):
+        p = pos[cycle.vertices[i]]
+        q = pos[cycle.vertices[(i + 1) % n]]
+        parts.append(
+            f'<line class="chord" x1="{_fmt(p[0])}" y1="{_fmt(p[1])}" '
+            f'x2="{_fmt(q[0])}" y2="{_fmt(q[1])}" stroke="#1a1a1a" '
+            f'stroke-width="{sw}"/>'
+        )
+    dot = max(1.5, size / 140.0)
+    for k in range(n):
+        parts.append(
+            f'<circle class="vertex" cx="{_fmt(pos[k][0])}" cy="{_fmt(pos[k][1])}" '
+            f'r="{_fmt(dot)}" fill="#1a1a1a"/>'
+        )
+    if opts.show_labels:
+        font = max(9, size // 26)
+        lpos = _positions(n, cx, cy, radius * 1.16)
+        for k in range(n):
+            parts.append(
+                f'<text class="label" x="{_fmt(lpos[k][0])}" y="{_fmt(lpos[k][1])}" '
+                f'font-size="{font}" font-family="sans-serif" fill="#1a1a1a" '
+                f'text-anchor="middle" dominant-baseline="central">{k}</text>'
+            )
+    return parts
