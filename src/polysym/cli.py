@@ -17,9 +17,8 @@ from .polygon_core import (
     InvalidSideTuple,
     SideTuple,
     WalkError,
-    canonical_period3,
+    block_symmetry,
     canonical_sides,
-    period3_profile,
     side_symmetry,
     validate_walk,
 )
@@ -100,9 +99,9 @@ def cmd_enumerate(args) -> int:
     rows = [] if json_out else ["n,m,family,a,b,c,u,rotation_order,axis_count,sides"]
     for gens, u in reps:
         block = gens if len(gens) == 3 else (*gens, gens[0])
-        x, y, z = canonical_period3(n, block)[:3]
-        profile = period3_profile(n, block)
-        rot, axes = profile.rotation_order, profile.axis_count
+        sym = block_symmetry(n, block)
+        x, y, z = sym.block
+        rot, axes = sym.profile.rotation_order, sym.profile.axis_count
         if json_out:
             sides = ",".join([f"{x},{y},{z}"] * m)
             rows.append(
@@ -161,22 +160,19 @@ def _verify_sweep(args, pool) -> tuple[list[str], list[dict]]:
             "regular": enumeration.euler_phi(3 * m) // 2,
         }
         found = {
-            "axial": len(report.axial_classes),
-            "circular": len(report.circular_classes),
-            "regular": len(report.regular_classes),
+            "axial": len(report.axial_blocks),
+            "circular": len(report.circular_blocks),
+            "regular": len(report.regular_blocks),
         }
         for fam, want in expected.items():
             if found[fam] != want:
                 raise oracle.VerificationError(
                     f"sweep m={m}: {fam} count {found[fam]} != formula {want}"
                 )
-        # the sweep's classes are 3-periodic, so their first three sides
-        # (the canonical block) identify them
-        axial = {t.sides[:3] for t in report.axial_classes}
-        if axial != oracle.theorem_axial_blocks(m):
+        # both sides name each class by its canonical 3-block
+        if report.axial_blocks != oracle.theorem_axial_blocks(m):
             raise oracle.VerificationError(f"sweep m={m}: axial class sets differ")
-        circular = {t.sides[:3] for t in report.circular_classes}
-        if circular != oracle.theorem_circular_blocks(m):
+        if report.circular_blocks != oracle.theorem_circular_blocks(m):
             raise oracle.VerificationError(f"sweep m={m}: circular class sets differ")
         lines.append(
             f"sweep m={m}: axial={found['axial']} circular={found['circular']} "
@@ -260,7 +256,7 @@ def _verify_pool(args):
     if args.mode == "census":
         shards = len(oracle.census_tasks(args.n))
     elif args.mode == "sweep":
-        shards = 3 * args.m[1] - 1
+        shards = len(oracle.sweep_tasks(args.m[1], args.jobs))
     else:
         shards = 1
     return oracle.worker_pool(args.jobs, shards)

@@ -2,21 +2,23 @@
 
 Two independent searches back the closed formulas:
 
-* ``sweep_period3`` walks every raw generator triple (a, b, c) in
-  [1, n-1]^3 with no arithmetic filtering, keeps the valid walks, and
-  classifies them geometrically;
+* ``sweep_period3`` covers every raw generator triple (a, b, c) in
+  [1, n-1]^3 with no arithmetic filtering: it walks the least triple of
+  every orbit under the block's cyclic shifts and reversed complement,
+  keeps the valid walks, and classifies them geometrically;
 * ``census_full`` walks every Hamiltonian cycle on n circle vertices
   (n <= 12) and classifies each one.
 
 Both report rotation classes by canonical side tuple, so their outputs
 are directly comparable with the theorem enumerators.  Work is split
-into deterministic contiguous shards; shard results merge by plain set
-union, so reports do not depend on the worker count.
+into deterministic shards; shard results merge by plain set union, so
+reports do not depend on the worker count.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 import math
 import multiprocessing
 import os
@@ -25,13 +27,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 from .enumeration import MTooSmall, _axial_pairs, _circular_triples, euler_phi
-from .polygon_core import (
-    SideTuple,
-    canonical_period3,
-    canonical_sides,
-    period3_profile,
-    side_symmetry,
-)
+from .polygon_core import SideTuple, block_symmetry, canonical_sides, side_symmetry
 
 CENSUS_MAX_N = 12
 
@@ -58,25 +54,46 @@ class VerificationError(Exception):
 class OracleReport:
     """Classes found by one brute-force search.
 
-    ``census_size`` counts the raw objects examined: generator triples
-    for the sweep, undirected Hamiltonian cycles for the census.
-    ``other_count`` is the number of rotation classes that carry some
-    nontrivial rotation symmetry yet fall in no family (for example a
-    cycle whose sides repeat with period 2).  Every search additionally
-    asserts that no object has mirror axes without an equal number of
-    rotations, so near-miss family members cannot pass unnoticed.
+    Each class is stored as a block whose repetition is its canonical
+    side tuple: the canonical 3-block for the sweep, the whole canonical
+    side tuple for the census.  ``axial_classes``, ``circular_classes``
+    and ``regular_classes`` are those side tuples as ``SideTuple``s,
+    built on first access.  ``census_size`` is the size of the space
+    the search covers: the (n-1)^3 generator triples for the sweep
+    (which walks only the least triple of each orbit), the undirected
+    Hamiltonian cycles for the census.  ``other_count`` is the number
+    of rotation classes that carry some nontrivial rotation symmetry yet
+    fall in no family (for example a cycle whose sides repeat with
+    period 2).  The census profiles each class with ``side_symmetry``,
+    whose ``SymmetryProfile`` rejects mirror axes without an equal number
+    of rotations, so near-miss family members cannot pass unnoticed.
     ``stats`` holds stage counters: for the census ``cycles``,
     ``screened_out`` and ``profiled``; empty for the sweep.
     """
 
     n: int
-    axial_classes: frozenset[SideTuple]
-    circular_classes: frozenset[SideTuple]
-    regular_classes: frozenset[SideTuple]
+    axial_blocks: frozenset[tuple[int, ...]]
+    circular_blocks: frozenset[tuple[int, ...]]
+    regular_blocks: frozenset[tuple[int, ...]]
     other_count: int
     census_size: int
     elapsed: float
     stats: Mapping[str, int] = field(default_factory=dict, hash=False)
+
+    def _classes(self, blocks: frozenset[tuple[int, ...]]) -> frozenset[SideTuple]:
+        return frozenset(SideTuple(self.n, k * (self.n // len(k))) for k in blocks)
+
+    @functools.cached_property
+    def axial_classes(self) -> frozenset[SideTuple]:
+        return self._classes(self.axial_blocks)
+
+    @functools.cached_property
+    def circular_classes(self) -> frozenset[SideTuple]:
+        return self._classes(self.circular_blocks)
+
+    @functools.cached_property
+    def regular_classes(self) -> frozenset[SideTuple]:
+        return self._classes(self.regular_blocks)
 
 
 @dataclass(frozen=True)
@@ -174,14 +191,29 @@ def _walk_ok(rows: list, full: int, a: int, b: int, c: int) -> bool:
 # sweep over all generator triples
 
 
-def _sweep_shard(m: int, a_lo: int, a_hi: int):
-    """Scan (a, b, c) for a in [a_lo, a_hi); returns the length-3 canonical
-    blocks of the classes found.
+def sweep_tasks(m: int, jobs: int) -> list[tuple[int, int, int]]:
+    """The shards of ``sweep_period3(m, jobs)``: shard i scans the first
+    sides a = i, i + k, i + 2k, ... up to n // 2, for k = min(jobs, n // 2)
+    shards.  Interleaving balances them, as a small a costs the most."""
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
+    k = min(jobs, 3 * m // 2)
+    return [(m, first, k) for first in range(1, k + 1)]
 
-    c runs over every value that closes the walk (a + b + c = 0 mod 3).
-    Validity and class are invariant under the 6-element group of cyclic
-    shifts and reversed complement, so each class is profiled once, at
-    the least triple of its orbit, which is its canonical block.
+
+def _sweep_shard(m: int, first: int, step: int):
+    """Scan the orbit-least candidates (a, b, c) with a = first, first +
+    step, ...; returns the canonical 3-blocks of the axial, circular,
+    regular and other classes found.
+
+    Validity and class are invariant under the six images of a block (its
+    cyclic shifts and those of its reversed complement), so each orbit is
+    examined at its least triple, which is its canonical block.  That
+    triple has a <= b, a <= c and a <= n - a, n - b, n - c, so candidates
+    run over a <= n // 2 and a <= b, c <= n - a, with c stepping through
+    the values that close the walk (a + b + c = 0 mod 3).  Every candidate
+    is walked; an image can only tie or beat it when it also starts with
+    a, and then the full six-image minimum decides.
     """
     n = 3 * m
     full = (1 << n) - 1
@@ -190,46 +222,50 @@ def _sweep_shard(m: int, a_lo: int, a_hi: int):
     circular: set = set()
     regular: set = set()
     other: set = set()
-    for a in range(a_lo, a_hi):
-        for b in range(1, n):
+    for a in range(first, n // 2 + 1, step):
+        top = n - a
+        for b in range(a, top + 1):
             ab = a + b
             abn = ab % n
-            for c in range(3 - ab % 3, n, 3):
+            for c in range(a + (-ab - a) % 3, top + 1, 3):
                 r = rows[(ab + c) % n]
                 if r is None or (r[0] | r[a] | r[abn]) != full:
                     continue
-                # a smaller b or c gives a smaller cyclic shift
-                if b < a or c < a:
-                    continue
                 t = (a, b, c)
-                if canonical_period3(n, t)[:3] != t:
+                rc = ((n - c, n - b, n - a), (n - b, n - a, n - c), (n - a, n - c, n - b))
+                if (b == a or c == a or b == top or c == top or 2 * a == n) and t != min(
+                    t, (b, c, a), (c, a, b), *rc
+                ):
                     continue
-                profile = period3_profile(n, t)
-                rot, axes = profile.rotation_order, profile.axis_count
-                if axes == n:
+                # block_symmetry's profile, read off directly: the reversal
+                # is a shift of a valid block exactly when two sides are equal
+                # (m axes; all three equal is the regular star), its
+                # complement never is, and its reversed complement (rotation
+                # order 2m) only with three distinct sides
+                if a == b == c:
                     regular.add(t)
-                elif axes == m:
+                elif a == b or b == c or a == c:
                     axial.add(t)
-                elif axes == 0 and rot == m:
-                    circular.add(t)
-                else:
+                elif t in rc:
                     other.add(t)
+                else:
+                    circular.add(t)
     return axial, circular, regular, other
 
 
 def sweep_period3(m: int, jobs: int = 1, pool=None) -> OracleReport:
     """Classify every valid 3-periodic walk on n = 3m vertices.
 
-    All (n-1)^3 generator triples are tried; no residue or gcd
-    conditions are applied, so the result is independent of the
-    enumeration module.  ``pool`` (from ``worker_pool``) runs the
-    ``jobs`` shards on existing workers; the result does not depend on
-    either.
+    The orbits of all (n-1)^3 generator triples are covered; no residue
+    or gcd conditions are applied, so the result is independent of the
+    enumeration module.  ``pool`` (from ``worker_pool``) runs the shards
+    of ``sweep_tasks(m, jobs)`` on existing workers; the result does not
+    depend on either.
     """
     _require_family_m(m)
     n = 3 * m
     start = time.perf_counter()
-    tasks = [(m, lo, hi) for lo, hi in _shard_bounds(1, n, jobs)]
+    tasks = sweep_tasks(m, jobs)
     axial: set = set()
     circular: set = set()
     regular: set = set()
@@ -241,26 +277,13 @@ def sweep_period3(m: int, jobs: int = 1, pool=None) -> OracleReport:
         other |= ot
     return OracleReport(
         n=n,
-        axial_classes=frozenset(SideTuple(n, k * m) for k in axial),
-        circular_classes=frozenset(SideTuple(n, k * m) for k in circular),
-        regular_classes=frozenset(SideTuple(n, k * m) for k in regular),
+        axial_blocks=frozenset(axial),
+        circular_blocks=frozenset(circular),
+        regular_blocks=frozenset(regular),
         other_count=len(other),
         census_size=(n - 1) ** 3,
         elapsed=time.perf_counter() - start,
     )
-
-
-def _shard_bounds(lo: int, hi: int, jobs: int) -> list[tuple[int, int]]:
-    """Split [lo, hi) into at most ``jobs`` contiguous nonempty ranges."""
-    jobs = max(1, min(jobs, hi - lo))
-    width, extra = divmod(hi - lo, jobs)
-    bounds = []
-    at = lo
-    for i in range(jobs):
-        nxt = at + width + (1 if i < extra else 0)
-        bounds.append((at, nxt))
-        at = nxt
-    return bounds
 
 
 # ---------------------------------------------------------------------------
@@ -420,9 +443,9 @@ def census_full(n: int, jobs: int = 1, pool=None) -> OracleReport:
         profiled += prof
     return OracleReport(
         n=n,
-        axial_classes=frozenset(SideTuple(n, k) for k in axial),
-        circular_classes=frozenset(SideTuple(n, k) for k in circular),
-        regular_classes=frozenset(SideTuple(n, k) for k in regular),
+        axial_blocks=frozenset(axial),
+        circular_blocks=frozenset(circular),
+        regular_blocks=frozenset(regular),
         other_count=len(other),
         census_size=total,
         elapsed=time.perf_counter() - start,
@@ -438,7 +461,7 @@ def theorem_axial_blocks(m: int) -> frozenset[tuple[int, int, int]]:
     """Canonical length-3 blocks of the classes enumerate_axial lists."""
     _require_family_m(m)
     n = 3 * m
-    return frozenset(canonical_period3(n, (a, b, a))[:3] for a, b, _ in _axial_pairs(m))
+    return frozenset(block_symmetry(n, (a, b, a)).block for a, b, _ in _axial_pairs(m))
 
 
 def theorem_circular_blocks(m: int) -> frozenset[tuple[int, int, int]]:
@@ -446,7 +469,7 @@ def theorem_circular_blocks(m: int) -> frozenset[tuple[int, int, int]]:
     _require_family_m(m)
     n = 3 * m
     return frozenset(
-        canonical_period3(n, (a, b, c))[:3] for a, b, c, _ in _circular_triples(m)
+        block_symmetry(n, (a, b, c)).block for a, b, c, _ in _circular_triples(m)
     )
 
 

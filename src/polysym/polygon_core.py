@@ -9,9 +9,11 @@ the final step.  All arithmetic is exact integer arithmetic.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import NamedTuple
 
 
 class InvalidSideTuple(ValueError):
@@ -369,52 +371,68 @@ def side_symmetry(n: int, sides: Sequence[int]) -> SideSymmetry:
     return SideSymmetry(SymmetryProfile(rotations, len(axes)), axes, p)
 
 
-def canonical_period3(n: int, block: tuple[int, int, int]) -> tuple[int, ...]:
-    """canonical_form of the 3-periodic tuple block * (n // 3), as a tuple.
+class BlockSymmetry(NamedTuple):
+    """Canonical 3-block and symmetries of the polygon block * (n // 3).
 
-    Every cyclic shift of a 3-periodic tuple is again 3-periodic, as is
-    its reversed complement, so the minimum over 2n full-length
-    candidates is the minimum over at most six length-3 blocks.
+    ``block`` is the least of the block's six images, so the canonical
+    form's sides are ``block * (n // 3)``; ``profile`` and ``axes`` are
+    those ``side_symmetry`` finds on the full side sequence.
+    """
+
+    block: tuple[int, int, int]
+    profile: SymmetryProfile
+    axes: tuple[int, ...]
+
+
+# A 3-periodic polygon has one of four profiles per n; they are immutable,
+# so block_symmetry shares one instance of each.
+_shared_profile = functools.lru_cache(maxsize=256)(SymmetryProfile)
+
+
+def block_symmetry(n: int, block: tuple[int, int, int]) -> BlockSymmetry:
+    """``side_symmetry`` and canonical form of the valid polygon with sides
+    block * (n // 3), in O(1) plus O(m) for the axis list (n = 3m).
+
+    Every cyclic shift of a 3-periodic side sequence is again 3-periodic,
+    as are its reversed complement, complement and reversal.  So each
+    comparison of the side kernel reduces to the three cyclic shifts of
+    the block (a, b, c), and each matching shift class accounts for m
+    group elements:
+
+    * rotations: the block itself, and the reversed complement when one
+      of its shifts equals the block;
+    * mirrors: a shift of the complement equals the block only when
+      a = b = c, the regular star; the reversal (c, b, a) shifted by
+      q = 0, 1, 2 equals it exactly when a = c, a = b, b = c.  Its
+      mirrors have axes v_j for the starts j = -q mod 3, where
+      v_0, v_1, v_2 = 0, a, a + b.  A valid walk visits v_j + k*(a+b+c),
+      k < m, at m distinct vertices, all = v_j mod 3 since
+      a + b + c = 0 mod 3: the whole residue class of v_j.
+
+    The caller must pass the block of a *valid* walk; only ``block`` is
+    meaningful otherwise.
     """
     if n % 3:
         raise ValueError(f"n={n} is not a multiple of 3")
     a, b, c = block
-    best = min(
-        (a, b, c),
-        (b, c, a),
-        (c, a, b),
-        (n - c, n - b, n - a),
-        (n - b, n - a, n - c),
-        (n - a, n - c, n - b),
-    )
-    return best * (n // 3)
-
-
-def period3_profile(n: int, block: tuple[int, int, int]) -> SymmetryProfile:
-    """symmetry_profile of the valid polygon with sides block * (n // 3).
-
-    A symmetry of the chord set matches the side sequence against a
-    cyclic shift of one of four sequences: itself or its reversed
-    complement (rotations), its plain complement or plain reversal
-    (mirrors).  For a 3-periodic sequence each comparison reduces to
-    membership among the three cyclic shifts of a length-3 block, and
-    each matching shift class accounts for n/3 group elements.  The
-    caller must pass the block of a *valid* walk; the count is wrong for
-    tuples that do not describe a polygon.
-    """
-    if n % 3:
-        raise ValueError(f"n={n} is not a multiple of 3")
-    m = n // 3
-    a, b, c = block
-    if a == b == c:
-        return SymmetryProfile(n, n)
     t = (a, b, c)
-    rot = m
-    if t in ((n - c, n - b, n - a), (n - b, n - a, n - c), (n - a, n - c, n - b)):
-        rot += m
-    axes = 0
-    if t in ((n - a, n - b, n - c), (n - b, n - c, n - a), (n - c, n - a, n - b)):
-        axes += m
-    if t in ((c, b, a), (b, a, c), (a, c, b)):
-        axes += m
-    return SymmetryProfile(rot, axes)
+    rc = ((n - c, n - b, n - a), (n - b, n - a, n - c), (n - a, n - c, n - b))
+    least = min(t, (b, c, a), (c, a, b), *rc)
+    if a == b == c:
+        return BlockSymmetry(least, _shared_profile(n, n), tuple(range(n)))
+    m = n // 3
+    if a == c:
+        axes = tuple(range(0, n, 3))
+    elif a == b:
+        axes = tuple(range((a + b) % 3, n, 3))
+    elif b == c:
+        axes = tuple(range(a % 3, n, 3))
+    else:
+        axes = ()
+    rotations = 2 * m if t in rc else m
+    return BlockSymmetry(least, _shared_profile(rotations, len(axes)), axes)
+
+
+def canonical_period3(n: int, block: tuple[int, int, int]) -> tuple[int, ...]:
+    """canonical_form of the 3-periodic tuple block * (n // 3), as a tuple."""
+    return block_symmetry(n, block).block * (n // 3)

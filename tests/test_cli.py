@@ -255,7 +255,21 @@ class TestVerify:
         monkeypatch.setattr(oracle, "worker_pool", counting)
         rc, _, _ = run(["verify", "--mode", "sweep", "--m", "3..6", "--jobs", "2"], capfd)
         assert rc == 0
-        assert opened == [(2, 17)]  # the widest search, m = 6, has n - 1 shards
+        assert opened == [(2, 2)]  # the widest search, m = 6, has min(jobs, n // 2) shards
+
+    def test_sweep_builds_no_side_tuple(self, capfd, monkeypatch):
+        built = []
+        real = ps.SideTuple.__post_init__
+
+        def counting(self):
+            built.append(self.n)
+            real(self)
+
+        monkeypatch.setattr(ps.SideTuple, "__post_init__", counting)
+        rc, out, _ = run(["verify", "--mode", "sweep", "--m", "3..8"], capfd)
+        assert rc == 0
+        assert json.loads(out.splitlines()[-1])["ok"] is True
+        assert built == []
 
     def test_census_pool_is_sized_from_its_shards(self, capfd, monkeypatch):
         import polysym.oracle as oracle

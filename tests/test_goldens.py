@@ -1,5 +1,5 @@
-"""Byte-identity goldens for ``classify`` and ``enumerate`` stdout and
-``render`` SVG output.
+"""Byte-identity goldens for ``classify``, ``enumerate`` and ``verify``
+stdout and ``render`` SVG output.
 
 The classify and ``--axes --labels`` render digests were recorded from
 the edge-set implementation of the symmetry profile (a scan of all n
@@ -7,7 +7,8 @@ rotations and n mirrors of the chord set).  The enumerate digests and the
 other render digests were recorded from the output path that built every
 record from a full side tuple and formatted every number of every
 gallery cell afresh.  Any faster kernel or output path must reproduce
-every byte.
+every byte.  The verify digests were recorded from the sweep that
+walked every closing triple and expanded each class to a full side tuple.
 
 The classify inputs are generated from a fixed seed, group by group:
 theorem family members read from a random block anchor, regular stars,
@@ -121,6 +122,17 @@ def render_variant_digest(variant: str, family: str, path) -> str:
 
 def enumerate_argv(m: int, family: str, fmt: str) -> list[str]:
     return ["enumerate", "--m", str(m), "--family", family, "--format", fmt]
+
+
+# Each verify command runs at most two workers.
+VERIFY_ARGV = {
+    "sweep/jobs1": ["--mode", "sweep", "--m", "3..30", "--jobs", "1"],
+    "sweep/jobs2": ["--mode", "sweep", "--m", "3..30", "--jobs", "2"],
+    "gcd": ["--mode", "gcd", "--m", "3..20"],
+    "identity": ["--mode", "identity", "--m", "3..100"],
+    "census/9": ["--mode", "census", "--n", "9"],
+    "census/10": ["--mode", "census", "--n", "10"],
+}
 
 
 def mixed_gallery() -> list[SideTuple]:
@@ -267,6 +279,15 @@ ENUMERATE_GOLDEN = {
     "40/circular/csv": "d17f5987f12244b2799c8805cafce8cad609df2ad6a03ddaf47f4a7d633cdbf5",
 }
 
+VERIFY_GOLDEN = {
+    "sweep/jobs1": "3d39c7db52a2918d37e96906e80f2fb4f14a5c6e7a9ca926bcc9b0f58c11ca11",
+    "sweep/jobs2": "3d39c7db52a2918d37e96906e80f2fb4f14a5c6e7a9ca926bcc9b0f58c11ca11",
+    "gcd": "5c574ed762818df665921bd41ba0023c02e6b7176e0805a722acd9e455cec8fe",
+    "identity": "1460a0bca327f681d54c5d3d56df5bea634ca176a9b6bc6db5406fb916dcf151",
+    "census/9": "c95366b95c5aab4a55d2f3c53e5c270113961a45e997598314d65fe482193421",
+    "census/10": "8845b9cf28834a1cb3a085a2433458d6a2461f1bf90dac2e2672e08246b684fe",
+}
+
 
 @pytest.mark.parametrize("group", sorted(CLASSIFY_GOLDEN))
 def test_classify_stdout_is_byte_identical(group):
@@ -317,3 +338,9 @@ def test_enumerate_json_records_match_the_per_record_reference(m):
             gens = [(r.a, r.b, r.c) for r in sorted(enumerate_circular(m))]
         want = [reference_class_record(m, family, g) for g in gens]
         assert json.loads(out.getvalue()) == want
+
+
+@pytest.mark.parametrize("name", sorted(VERIFY_GOLDEN))
+def test_verify_output_is_byte_identical(name):
+    digest = hashlib.sha256(_run(["verify", *VERIFY_ARGV[name]])).hexdigest()
+    assert digest == VERIFY_GOLDEN[name]

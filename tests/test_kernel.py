@@ -15,6 +15,7 @@ import pytest
 import polysym as ps
 from polysym import SideTuple, SymmetryProfile, WalkError
 from polysym.polygon_core import (
+    block_symmetry,
     canonical_sides,
     least_period,
     least_rotation,
@@ -77,7 +78,10 @@ class TestEveryPeriodThreeBlock:
                         continue
                     checked += 1
                     sym = side_symmetry(n, t.sides)
-                    assert sym.profile == ps.period3_profile(n, (a, b, c)), t
+                    block = block_symmetry(n, (a, b, c))
+                    assert block.block == canonical_sides(n, t.sides)[:3], t
+                    assert block.profile == sym.profile, t
+                    assert block.axes == sym.axes, t
                     assert sym.period in (1, 3), t
                     assert ps.canonical_form(t).sides == ps.canonical_period3(n, (a, b, c))
         assert checked > 0

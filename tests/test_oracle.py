@@ -18,11 +18,12 @@ from polysym import (
 from polysym.oracle import (
     _scan_axial_count,
     _scan_circular_count,
-    _shard_bounds,
     _walk_ok,
     _walk_rows,
     census_tasks,
     pool_size,
+    sweep_tasks,
+    worker_pool,
 )
 from polysym.polygon_core import canonical_sides, side_symmetry
 from walks import (
@@ -213,11 +214,21 @@ class TestSweep:
         assert r.regular_classes == census9.regular_classes
 
     def test_jobs_do_not_change_results(self):
-        one = ps.sweep_period3(5)
-        four = ps.sweep_period3(5, jobs=4)
-        assert one.axial_classes == four.axial_classes
-        assert one.circular_classes == four.circular_classes
-        assert one.regular_classes == four.regular_classes
+        # jobs = 6 at m = 3 is above n // 2 = 4, the most first sides there
+        # are to interleave; the shards run on at most two workers
+        for m, jobs, shards in [(5, 4, 4), (3, 6, 4)]:
+            tasks = sweep_tasks(m, jobs)
+            assert len(tasks) == shards
+            half = 3 * m // 2
+            firsts = sorted(a for _, first, step in tasks for a in range(first, half + 1, step))
+            assert firsts == list(range(1, half + 1))
+            one = ps.sweep_period3(m)
+            with worker_pool(2, len(tasks)) as pool:
+                many = ps.sweep_period3(m, jobs=jobs, pool=pool)
+            assert one.axial_classes == many.axial_classes
+            assert one.circular_classes == many.circular_classes
+            assert one.regular_classes == many.regular_classes
+            assert one.other_count == many.other_count
 
     @pytest.mark.parametrize("m", range(3, 9))
     def test_matches_per_triple_reference(self, m):
@@ -353,16 +364,6 @@ class TestGcdTheorem:
     def test_rejects_m_too_small(self):
         with pytest.raises(MTooSmall):
             ps.verify_theorem_gcd(2, "axial")
-
-
-class TestShardBounds:
-    def test_covers_range_without_overlap(self):
-        for lo, hi, jobs in [(1, 9, 1), (1, 9, 3), (1, 12, 5), (1, 4, 8)]:
-            bounds = _shard_bounds(lo, hi, jobs)
-            seen = []
-            for a, b in bounds:
-                seen.extend(range(a, b))
-            assert seen == list(range(lo, hi))
 
 
 class TestPoolSize:

@@ -13,6 +13,7 @@ from polysym import (
     VertexCycle,
     WalkError,
 )
+from polysym.polygon_core import block_symmetry
 
 HEXAGON = SideTuple(6, (1, 2, 1, 4, 3, 1))
 AXIAL9 = SideTuple(9, (1, 4, 1) * 3)
@@ -319,9 +320,11 @@ class TestPeriodThreeFastPaths:
                         cyc = ps.validate_walk(t)
                     except WalkError:
                         continue
-                    assert ps.period3_profile(n, (a, b, c)) == ps.symmetry_profile(
-                        ps.edge_set(cyc)
-                    ), (a, b, c)
+                    sym = block_symmetry(n, (a, b, c))
+                    e = ps.edge_set(cyc)
+                    assert sym.profile == ps.symmetry_profile(e), (a, b, c)
+                    mirrors = tuple(x for x in range(n) if ps.reflect_edges(e, x) == e)
+                    assert sym.axes == mirrors, (a, b, c)
 
     @pytest.mark.parametrize("m", [3, 4])
     def test_canonical_matches_geometry(self, m):

@@ -13,7 +13,7 @@ import math
 import random
 from itertools import permutations
 
-from polysym import SideTuple, canonical_period3, period3_profile, validate_walk
+from polysym import SideTuple, validate_walk
 from polysym.polygon_core import canonical_sides, side_symmetry
 
 
@@ -152,7 +152,8 @@ def walk3(n: int, m: int, a: int, b: int, c: int, seen: list[int], stamp: int) -
 
 
 def reference_sweep(m: int):
-    """Walk and classify every triple in [1, n-1]^3, one at a time.
+    """Walk and classify every triple in [1, n-1]^3, one at a time, with
+    the side-sequence kernel on the full 3m sides (not the block kernel).
 
     Returns the axial, circular and regular class sets (as SideTuples)
     and the number of other classes, like ``sweep_period3``.
@@ -167,9 +168,10 @@ def reference_sweep(m: int):
                 stamp += 1
                 if not walk3(n, m, a, b, c, seen, stamp):
                     continue
-                profile = period3_profile(n, (a, b, c))
+                sides = (a, b, c) * m
+                profile = side_symmetry(n, sides).profile
                 rot, axes = profile.rotation_order, profile.axis_count
-                key = SideTuple(n, canonical_period3(n, (a, b, c)))
+                key = SideTuple(n, canonical_sides(n, sides))
                 if axes == n:
                     regular.add(key)
                 elif axes == m:
@@ -235,19 +237,21 @@ def reference_census_shard(n: int, second: int):
 
 
 def reference_class_record(m: int, family: str, generators: tuple[int, ...]) -> dict:
-    """One ``enumerate`` record, built field by field from a full side tuple."""
+    """One ``enumerate`` record, built field by field from a full side tuple
+    with the side-sequence kernel."""
     n = 3 * m
     if len(generators) == 2:
         block = (generators[0], generators[1], generators[0])
     else:
         block = generators
-    profile = period3_profile(n, block)
+    sides = tuple(block) * m
+    profile = side_symmetry(n, sides).profile
     return {
         "n": n,
         "m": m,
         "family": family,
         "generators": list(generators),
-        "sides": list(canonical_period3(n, block)),
+        "sides": list(canonical_sides(n, sides)),
         "u": sum(block) // 3,
         "rotation_order": profile.rotation_order,
         "axis_count": profile.axis_count,
