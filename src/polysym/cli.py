@@ -12,7 +12,7 @@ import json
 import sys
 
 from . import enumeration, oracle, render
-from .classification import family_of, generators, side_period
+from .classification import family_of, generators
 from .polygon_core import (
     InvalidSideTuple,
     SideTuple,
@@ -148,105 +148,31 @@ def cmd_classify(args) -> int:
     return 0
 
 
-def _verify_sweep(args, pool) -> tuple[list[str], list[dict]]:
-    m_from, m_to = args.m
-    lines = []
-    results = []
-    for m in range(m_from, m_to + 1):
-        report = oracle.sweep_period3(m, jobs=args.jobs, pool=pool)
-        expected = {
-            "axial": enumeration.count_axial(m),
-            "circular": enumeration.count_circular(m),
-            "regular": enumeration.euler_phi(3 * m) // 2,
-        }
-        found = {
-            "axial": len(report.axial_blocks),
-            "circular": len(report.circular_blocks),
-            "regular": len(report.regular_blocks),
-        }
-        for fam, want in expected.items():
-            if found[fam] != want:
-                raise oracle.VerificationError(
-                    f"sweep m={m}: {fam} count {found[fam]} != formula {want}"
-                )
-        # both sides name each class by its canonical 3-block
-        if report.axial_blocks != oracle.theorem_axial_blocks(m):
-            raise oracle.VerificationError(f"sweep m={m}: axial class sets differ")
-        if report.circular_blocks != oracle.theorem_circular_blocks(m):
-            raise oracle.VerificationError(f"sweep m={m}: circular class sets differ")
-        lines.append(
-            f"sweep m={m}: axial={found['axial']} circular={found['circular']} "
-            f"regular={found['regular']} other={report.other_count} ok"
-        )
-        results.append({"m": m, **found, "other": report.other_count, "ok": True})
-    return lines, results
+# one stdout line per verify record
+_VERIFY_LINES = {
+    "sweep": "sweep m={m}: axial={axial} circular={circular} regular={regular} "
+    "other={other} ok",
+    "census": "census n={n}: cycles={census_size} axial={axial} circular={circular} "
+    "regular={regular} other={other} ok",
+    "identity": "identity m={m}: {lhs} == {rhs} ok",
+    "gcd": "gcd m={m} family={family} ok",
+}
 
 
-def _verify_census(args, pool) -> tuple[list[str], list[dict]]:
-    n = args.n
-    report = oracle.census_full(n, jobs=args.jobs, pool=pool)
-    found = {
-        "axial": len(report.axial_classes),
-        "circular": len(report.circular_classes),
-        "regular": len(report.regular_classes),
-    }
-    if n % 3 == 0 and n >= 9:
-        m = n // 3
-        sweep = oracle.sweep_period3(m, jobs=args.jobs, pool=pool)
-        if report.axial_classes != sweep.axial_classes:
-            raise oracle.VerificationError(f"census n={n}: axial differs from sweep")
-        if report.circular_classes != sweep.circular_classes:
-            raise oracle.VerificationError(f"census n={n}: circular differs from sweep")
-        if report.regular_classes != sweep.regular_classes:
-            raise oracle.VerificationError(f"census n={n}: regular differs from sweep")
-        for t in report.axial_classes | report.circular_classes:
-            if side_period(t) != 3:
-                raise oracle.VerificationError(
-                    f"census n={n}: class {t.sides} has side period != 3"
-                )
-    elif found["axial"] or found["circular"]:
-        raise oracle.VerificationError(
-            f"census n={n}: family classes reported although n is not 3m with m>2"
-        )
-    lines = [
-        f"census n={n}: cycles={report.census_size} axial={found['axial']} "
-        f"circular={found['circular']} regular={found['regular']} "
-        f"other={report.other_count} ok"
-    ]
-    results = [
-        {
-            "n": n,
-            "census_size": report.census_size,
-            **found,
-            "other": report.other_count,
-            "ok": True,
-        }
-    ]
-    return lines, results
-
-
-def _verify_identity(args, pool) -> tuple[list[str], list[dict]]:
-    m_from, m_to = args.m
-    lines = []
-    results = []
-    for m in range(m_from, m_to + 1):
-        check = oracle.verify_identity(m)
-        lines.append(f"identity m={m}: {check.lhs} == {check.rhs} ok")
-        results.append({"m": m, "lhs": check.lhs, "rhs": check.rhs, "ok": True})
-    return lines, results
-
-
-def _verify_gcd(args, pool) -> tuple[list[str], list[dict]]:
-    m_from, m_to = args.m
+def _verify_records(args, pool) -> list[dict]:
+    """The oracle's record for each m (and family) of the range, or for n."""
+    if args.mode == "census":
+        return [oracle.verify_census(oracle.census_full(args.n, jobs=args.jobs, pool=pool))]
+    ms = range(args.m[0], args.m[1] + 1)
+    if args.mode == "sweep":
+        return [
+            oracle.verify_sweep(oracle.sweep_period3(m, jobs=args.jobs, pool=pool))
+            for m in ms
+        ]
+    if args.mode == "identity":
+        return [oracle.verify_identity(m) for m in ms]
     families = ("axial", "circular") if args.family == "both" else (args.family,)
-    lines = []
-    results = []
-    for m in range(m_from, m_to + 1):
-        for fam in families:
-            oracle.verify_theorem_gcd(m, fam)
-            lines.append(f"gcd m={m} family={fam} ok")
-            results.append({"m": m, "family": fam, "ok": True})
-    return lines, results
+    return [oracle.verify_theorem_gcd(m, fam) for m in ms for fam in families]
 
 
 def _verify_pool(args):
@@ -278,19 +204,14 @@ def cmd_verify(args) -> int:
         m_from, m_to = args.m
         if m_from <= 2 or m_to < m_from:
             return _fail_usage(f"need 2 < m_from <= m_to, got {m_from}..{m_to}")
-    runner = {
-        "sweep": _verify_sweep,
-        "census": _verify_census,
-        "identity": _verify_identity,
-        "gcd": _verify_gcd,
-    }[args.mode]
     try:
         with _verify_pool(args) as pool:
-            lines, results = runner(args, pool)
+            results = _verify_records(args, pool)
     except oracle.VerificationError as exc:
         return _fail_check(str(exc))
-    for line in lines:
-        print(line)
+    line = _VERIFY_LINES[args.mode]
+    for record in results:
+        print(line.format_map(record))
     print(_dump({"mode": args.mode, "ok": True, "results": results}))
     return 0
 

@@ -9,10 +9,12 @@ Two independent searches back the closed formulas:
 * ``census_full`` walks every Hamiltonian cycle on n circle vertices
   (n <= 12) and classifies each one.
 
-Both report rotation classes by canonical side tuple, so their outputs
-are directly comparable with the theorem enumerators.  Work is split
-into deterministic shards; shard results merge by plain set union, so
-reports do not depend on the worker count.
+Both report rotation classes by canonical side tuple.  ``verify_sweep``
+and ``verify_census`` compare a finished report with the closed formulas,
+the theorem enumerators and each other, and return the record that
+``polysym verify`` prints.  Work is split into deterministic shards;
+shard results merge by plain set union, so reports do not depend on the
+worker count.
 """
 
 from __future__ import annotations
@@ -26,8 +28,22 @@ import time
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 
-from .enumeration import MTooSmall, _axial_pairs, _circular_triples, euler_phi
-from .polygon_core import SideTuple, block_symmetry, canonical_sides, side_symmetry
+from .classification import FamilyTag, family_of
+from .enumeration import (
+    MTooSmall,
+    _axial_pairs,
+    _circular_triples,
+    count_axial,
+    count_circular,
+    euler_phi,
+)
+from .polygon_core import (
+    SideTuple,
+    block_symmetry,
+    canonical_sides,
+    least_period,
+    side_symmetry,
+)
 
 CENSUS_MAX_N = 12
 
@@ -94,13 +110,6 @@ class OracleReport:
     @functools.cached_property
     def regular_classes(self) -> frozenset[SideTuple]:
         return self._classes(self.regular_blocks)
-
-
-@dataclass(frozen=True)
-class IdentityCheck:
-    m: int
-    lhs: int
-    rhs: int
 
 
 def _require_family_m(m: int) -> None:
@@ -326,8 +335,6 @@ def _census_shard(n: int, second: int):
     through the side-sequence symmetry kernel.  Returns the four class
     sets, the number of cycles screened and the number profiled.
     """
-    fam = n >= 9 and n % 3 == 0
-    m = n // 3
     side = [[bytes(((q - p) % n,)) for q in range(n)] for p in range(n)]
     # the reversed complement's bytes: x -> n - x
     table = bytes((n - x) % 256 for x in range(256))
@@ -394,24 +401,19 @@ def _census_shard(n: int, second: int):
                     survivors.append(sb)
 
     extend(side[0][second], second, free)
-    axial: set = set()
-    circular: set = set()
-    regular: set = set()
-    other: set = set()
+    found: dict = {tag: set() for tag in FamilyTag}
     for sb in survivors:
         sides = list(sb)
-        profile = side_symmetry(n, sides).profile
-        rot, axes = profile.rotation_order, profile.axis_count
-        key = canonical_sides(n, sides)
-        if axes == n:
-            regular.add(key)
-        elif fam and axes == m:
-            axial.add(key)
-        elif fam and axes == 0 and rot == m:
-            circular.add(key)
-        else:
-            other.add(key)
-    return axial, circular, regular, other, count, len(survivors)
+        tag = family_of(n, side_symmetry(n, sides).profile).tag
+        found[tag].add(canonical_sides(n, sides))
+    return (
+        found[FamilyTag.AXIAL],
+        found[FamilyTag.CIRCULAR],
+        found[FamilyTag.REGULAR],
+        found[FamilyTag.OTHER],
+        count,
+        len(survivors),
+    )
 
 
 def census_full(n: int, jobs: int = 1, pool=None) -> OracleReport:
@@ -454,7 +456,7 @@ def census_full(n: int, jobs: int = 1, pool=None) -> OracleReport:
 
 
 # ---------------------------------------------------------------------------
-# cross-checks against the enumeration module
+# cross-checks against the formulas, the enumeration module and each other
 
 
 def theorem_axial_blocks(m: int) -> frozenset[tuple[int, int, int]]:
@@ -473,14 +475,85 @@ def theorem_circular_blocks(m: int) -> frozenset[tuple[int, int, int]]:
     )
 
 
-def theorem_axial_classes(m: int) -> frozenset[SideTuple]:
-    """Canonical forms of the classes produced by enumerate_axial."""
-    return frozenset(SideTuple(3 * m, b * m) for b in theorem_axial_blocks(m))
+def _found(report: OracleReport) -> dict[str, int]:
+    return {
+        "axial": len(report.axial_blocks),
+        "circular": len(report.circular_blocks),
+        "regular": len(report.regular_blocks),
+    }
 
 
-def theorem_circular_classes(m: int) -> frozenset[SideTuple]:
-    """Canonical forms of the classes produced by enumerate_circular."""
-    return frozenset(SideTuple(3 * m, b * m) for b in theorem_circular_blocks(m))
+def verify_sweep(report: OracleReport) -> dict:
+    """Check a ``sweep_period3`` report against the closed counts and the
+    theorem enumerators; returns its ``verify`` record.
+
+    Both sides name each class by its canonical 3-block.  Raises
+    VerificationError at the first mismatch.
+    """
+    m = report.n // 3
+    found = _found(report)
+    expected = {
+        "axial": count_axial(m),
+        "circular": count_circular(m),
+        "regular": euler_phi(3 * m) // 2,
+    }
+    for fam, want in expected.items():
+        if found[fam] != want:
+            raise VerificationError(
+                f"sweep m={m}: {fam} count {found[fam]} != formula {want}"
+            )
+    if report.axial_blocks != theorem_axial_blocks(m):
+        raise VerificationError(f"sweep m={m}: axial class sets differ")
+    if report.circular_blocks != theorem_circular_blocks(m):
+        raise VerificationError(f"sweep m={m}: circular class sets differ")
+    return {"m": m, **found, "other": report.other_count, "ok": True}
+
+
+def verify_census(report: OracleReport) -> dict:
+    """Check a ``census_full`` report; returns its ``verify`` record.
+
+    At n = 3m with m > 2 its family and regular classes must be those of
+    a serial ``sweep_period3(m)`` (each sweep block repeated m times), and
+    every family class must have side period 3; at any other n it must
+    report no family class.  Then its cycle count must be (n-1)!/2 and
+    its regular count phi(n)/2.  Raises VerificationError at the first
+    mismatch.
+    """
+    n = report.n
+    found = _found(report)
+    if n % 3 == 0 and n >= 9:
+        m = n // 3
+        sweep = sweep_period3(m)
+        for fam in ("axial", "circular", "regular"):
+            blocks = getattr(sweep, f"{fam}_blocks")
+            if getattr(report, f"{fam}_blocks") != {b * m for b in blocks}:
+                raise VerificationError(f"census n={n}: {fam} differs from sweep")
+        for sides in report.axial_blocks | report.circular_blocks:
+            if least_period(sides) != 3:
+                raise VerificationError(
+                    f"census n={n}: class {sides} has side period != 3"
+                )
+    elif found["axial"] or found["circular"]:
+        raise VerificationError(
+            f"census n={n}: family classes reported although n is not 3m with m>2"
+        )
+    cycles = math.factorial(n - 1) // 2
+    if report.census_size != cycles:
+        raise VerificationError(
+            f"census n={n}: cycle count {report.census_size} != formula {cycles}"
+        )
+    regular = euler_phi(n) // 2
+    if found["regular"] != regular:
+        raise VerificationError(
+            f"census n={n}: regular count {found['regular']} != formula {regular}"
+        )
+    return {
+        "n": n,
+        "census_size": report.census_size,
+        **found,
+        "other": report.other_count,
+        "ok": True,
+    }
 
 
 def _scan_axial_count(m: int) -> int:
@@ -527,11 +600,12 @@ def _scan_circular_count(m: int) -> int:
     return raw // 3
 
 
-def verify_identity(m: int) -> IdentityCheck:
+def verify_identity(m: int) -> dict:
     """Check m^2 phi(m) = 3|Q| + 3|P| + phi(3m)/2 with scanned |P|, |Q|.
 
     The right side uses enumerated cardinalities, not the closed count
-    formulas.  Raises VerificationError on mismatch.
+    formulas.  Returns the ``verify`` record; raises VerificationError on
+    mismatch.
     """
     _require_family_m(m)
     lhs = m * m * euler_phi(m)
@@ -542,16 +616,17 @@ def verify_identity(m: int) -> IdentityCheck:
     )
     if lhs != rhs:
         raise VerificationError(f"identity fails at m={m}: {lhs} != {rhs}")
-    return IdentityCheck(m, lhs, rhs)
+    return {"m": m, "lhs": lhs, "rhs": rhs, "ok": True}
 
 
-def verify_theorem_gcd(m: int, family: str) -> bool:
+def verify_theorem_gcd(m: int, family: str) -> dict:
     """Check walk validity <=> gcd condition over the whole generator range.
 
     For axial, every ordered residue-1 pair (a, b), a != b, must satisfy:
     (a, b, a) * m is a valid walk iff gcd(2a + b, 3m) = 3.  For circular,
     every pairwise-distinct residue-1 triple: valid iff gcd(a+b+c, 3m) = 3.
-    Returns True, or raises VerificationError with the first counterexample.
+    Returns the ``verify`` record, or raises VerificationError with the
+    first counterexample.
     """
     _require_family_m(m)
     n = 3 * m
@@ -586,4 +661,4 @@ def verify_theorem_gcd(m: int, family: str) -> bool:
                         )
     else:
         raise ValueError(f"family must be 'axial' or 'circular', got {family!r}")
-    return True
+    return {"m": m, "family": family, "ok": True}

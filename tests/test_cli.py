@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import subprocess
 import sys
@@ -5,6 +6,7 @@ import sys
 import pytest
 
 import polysym as ps
+import polysym.oracle as oracle
 from polysym.cli import main
 
 
@@ -243,8 +245,6 @@ class TestVerify:
         assert err == f"error: --jobs must be at least 1, got {jobs}\n"
 
     def test_one_pool_per_command(self, capfd, monkeypatch):
-        import polysym.oracle as oracle
-
         opened = []
         real = oracle.worker_pool
 
@@ -257,7 +257,12 @@ class TestVerify:
         assert rc == 0
         assert opened == [(2, 2)]  # the widest search, m = 6, has min(jobs, n // 2) shards
 
-    def test_sweep_builds_no_side_tuple(self, capfd, monkeypatch):
+    @pytest.mark.parametrize(
+        "argv",
+        [["--mode", "sweep", "--m", "3..8"], ["--mode", "census", "--n", "9"]],
+        ids=["sweep", "census"],
+    )
+    def test_verify_builds_no_side_tuple(self, argv, capfd, monkeypatch):
         built = []
         real = ps.SideTuple.__post_init__
 
@@ -266,14 +271,12 @@ class TestVerify:
             real(self)
 
         monkeypatch.setattr(ps.SideTuple, "__post_init__", counting)
-        rc, out, _ = run(["verify", "--mode", "sweep", "--m", "3..8"], capfd)
+        rc, out, _ = run(["verify", *argv], capfd)
         assert rc == 0
         assert json.loads(out.splitlines()[-1])["ok"] is True
         assert built == []
 
     def test_census_pool_is_sized_from_its_shards(self, capfd, monkeypatch):
-        import polysym.oracle as oracle
-
         opened = []
         real = oracle.worker_pool
 
@@ -285,6 +288,139 @@ class TestVerify:
         rc, _, _ = run(["verify", "--mode", "census", "--n", "8", "--jobs", "2"], capfd)
         assert rc == 0
         assert opened == [(2, 6)]  # second vertex 1..n-2
+
+
+def patch_report(monkeypatch, name, change):
+    """Make ``oracle.<name>`` return ``change(report)`` for its own report."""
+    real = getattr(oracle, name)
+
+    def patched(*args, **kwargs):
+        return change(real(*args, **kwargs))
+
+    monkeypatch.setattr(oracle, name, patched)
+
+
+def drop_least(blocks):
+    return blocks - {min(blocks)}
+
+
+class TestVerifyFailures:
+    """Each check of ``verify``, fed a contradiction by patching ``oracle``,
+    exits 1 with one FAIL line on stderr and nothing on stdout."""
+
+    def assert_fails(self, argv, message, capfd):
+        rc, out, err = run(["verify", *argv], capfd)
+        assert (rc, out, err) == (1, "", f"FAIL: {message}\n")
+
+    def test_sweep_count(self, capfd, monkeypatch):
+        patch_report(
+            monkeypatch,
+            "sweep_period3",
+            lambda r: dataclasses.replace(r, axial_blocks=drop_least(r.axial_blocks)),
+        )
+        self.assert_fails(
+            ["--mode", "sweep", "--m", "3..3"], "sweep m=3: axial count 2 != formula 3", capfd
+        )
+
+    def test_sweep_class_set(self, capfd, monkeypatch):
+        # same count, but (0, 0, 0) is no theorem block
+        patch_report(
+            monkeypatch,
+            "sweep_period3",
+            lambda r: dataclasses.replace(
+                r, axial_blocks=drop_least(r.axial_blocks) | {(0, 0, 0)}
+            ),
+        )
+        self.assert_fails(
+            ["--mode", "sweep", "--m", "3..3"], "sweep m=3: axial class sets differ", capfd
+        )
+
+    def test_census_against_sweep(self, capfd, monkeypatch):
+        patch_report(
+            monkeypatch,
+            "census_full",
+            lambda r: dataclasses.replace(r, circular_blocks=drop_least(r.circular_blocks)),
+        )
+        self.assert_fails(
+            ["--mode", "census", "--n", "9"], "census n=9: circular differs from sweep", capfd
+        )
+
+    def test_census_side_period(self, capfd, monkeypatch):
+        # both oracles report the regular 9-gon (2,) * 9 as axial
+        patch_report(
+            monkeypatch,
+            "sweep_period3",
+            lambda r: dataclasses.replace(r, axial_blocks=r.axial_blocks | {(2, 2, 2)}),
+        )
+        patch_report(
+            monkeypatch,
+            "census_full",
+            lambda r: dataclasses.replace(r, axial_blocks=r.axial_blocks | {(2,) * 9}),
+        )
+        self.assert_fails(
+            ["--mode", "census", "--n", "9"],
+            "census n=9: class (2, 2, 2, 2, 2, 2, 2, 2, 2) has side period != 3",
+            capfd,
+        )
+
+    def test_census_family_outside_3m(self, capfd, monkeypatch):
+        patch_report(
+            monkeypatch,
+            "census_full",
+            lambda r: dataclasses.replace(
+                r, axial_blocks=r.axial_blocks | {(1, 2, 3, 4, 5, 6, 7, 1)}
+            ),
+        )
+        self.assert_fails(
+            ["--mode", "census", "--n", "8"],
+            "census n=8: family classes reported although n is not 3m with m>2",
+            capfd,
+        )
+
+    def test_census_cycle_total(self, capfd, monkeypatch):
+        patch_report(
+            monkeypatch,
+            "census_full",
+            lambda r: dataclasses.replace(r, census_size=r.census_size - 1),
+        )
+        self.assert_fails(
+            ["--mode", "census", "--n", "8"],
+            "census n=8: cycle count 2519 != formula 2520",
+            capfd,
+        )
+
+    def test_census_regular_total(self, capfd, monkeypatch):
+        patch_report(
+            monkeypatch,
+            "census_full",
+            lambda r: dataclasses.replace(r, regular_blocks=drop_least(r.regular_blocks)),
+        )
+        self.assert_fails(
+            ["--mode", "census", "--n", "8"],
+            "census n=8: regular count 1 != formula 2",
+            capfd,
+        )
+
+    def test_identity(self, capfd, monkeypatch):
+        real = oracle._scan_axial_count
+        monkeypatch.setattr(oracle, "_scan_axial_count", lambda m: real(m) + 1)
+        self.assert_fails(
+            ["--mode", "identity", "--m", "3..3"], "identity fails at m=3: 18 != 21", capfd
+        )
+
+    def test_gcd(self, capfd, monkeypatch):
+        real = oracle._walk_ok
+
+        def flipped(rows, full, a, b, c):
+            ok = real(rows, full, a, b, c)
+            return not ok if (a, b, c) == (1, 4, 1) else ok
+
+        monkeypatch.setattr(oracle, "_walk_ok", flipped)
+        self.assert_fails(
+            ["--mode", "gcd", "--m", "3..3", "--family", "axial"],
+            "axial biconditional fails at m=3, (a,b)=(1,4): walk=False, gcd(2a+b,3m)=3",
+            capfd,
+        )
 
 
 class TestRender:

@@ -23,6 +23,8 @@ from polysym.oracle import (
     census_tasks,
     pool_size,
     sweep_tasks,
+    theorem_axial_blocks,
+    theorem_circular_blocks,
     worker_pool,
 )
 from polysym.polygon_core import canonical_sides, side_symmetry
@@ -165,8 +167,8 @@ class TestCensus:
         assert r.census_size == count
 
     def test_nonagon_class_sets(self, census9):
-        assert census9.axial_classes == ps.theorem_axial_classes(3)
-        assert census9.circular_classes == ps.theorem_circular_classes(3)
+        assert census9.axial_blocks == {b * 3 for b in theorem_axial_blocks(3)}
+        assert census9.circular_blocks == {b * 3 for b in theorem_circular_blocks(3)}
         assert census9.regular_classes == frozenset(
             SideTuple(9, (d,) * 9) for d in (1, 2, 4)
         )
@@ -201,8 +203,8 @@ class TestSweep:
     def test_class_sets_match_enumeration(self):
         for m in range(3, 9):
             r = ps.sweep_period3(m)
-            assert r.axial_classes == ps.theorem_axial_classes(m)
-            assert r.circular_classes == ps.theorem_circular_classes(m)
+            assert r.axial_blocks == theorem_axial_blocks(m)
+            assert r.circular_blocks == theorem_circular_blocks(m)
             assert len(r.regular_classes) == ps.euler_phi(3 * m) // 2
             assert r.other_count == 0
             assert r.census_size == (3 * m - 1) ** 3
@@ -326,13 +328,13 @@ class TestScanCounts:
 class TestIdentity:
     def test_examples(self):
         chk = ps.verify_identity(18)
-        assert (chk.lhs, chk.rhs) == (1944, 1944)
-        assert ps.verify_identity(32).lhs == 16384
+        assert (chk["lhs"], chk["rhs"]) == (1944, 1944)
+        assert ps.verify_identity(32)["lhs"] == 16384
 
     def test_range(self):
         for m in range(3, 31):
             chk = ps.verify_identity(m)
-            assert chk.lhs == chk.rhs == m * m * ps.euler_phi(m)
+            assert chk["lhs"] == chk["rhs"] == m * m * ps.euler_phi(m)
 
     def test_rejects_m_too_small(self):
         with pytest.raises(MTooSmall):
