@@ -166,8 +166,8 @@ def _verify_records(args, pool) -> list[dict]:
     ms = range(args.m[0], args.m[1] + 1)
     if args.mode == "sweep":
         return [
-            oracle.verify_sweep(oracle.sweep_period3(m, jobs=args.jobs, pool=pool))
-            for m in ms
+            oracle.verify_sweep(report)
+            for report in oracle.sweep_reports(ms, jobs=args.jobs, pool=pool)
         ]
     if args.mode == "identity":
         return [oracle.verify_identity(m) for m in ms]

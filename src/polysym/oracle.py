@@ -14,18 +14,20 @@ and ``verify_census`` compare a finished report with the closed formulas,
 the theorem enumerators and each other, and return the record that
 ``polysym verify`` prints.  Work is split into deterministic shards;
 shard results merge by plain set union, so reports do not depend on the
-worker count.
+worker count.  ``sweep_reports`` streams the shards of a whole range of
+m to the workers at once and yields each m's report as it completes.
 """
 
 from __future__ import annotations
 
 import contextlib
 import functools
+import itertools
 import math
 import multiprocessing
 import os
 import time
-from collections.abc import Mapping
+from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
 
 from .classification import FamilyTag, family_of
@@ -39,7 +41,6 @@ from .enumeration import (
 )
 from .polygon_core import (
     SideTuple,
-    block_symmetry,
     canonical_sides,
     least_period,
     side_symmetry,
@@ -85,6 +86,11 @@ class OracleReport:
     of rotations, so near-miss family members cannot pass unnoticed.
     ``stats`` holds stage counters: for the census ``cycles``,
     ``screened_out`` and ``profiled``; empty for the sweep.
+    ``elapsed`` is the wall time spent collecting the search's shard
+    results.  For a sweep report (from ``sweep_reports``, which
+    ``sweep_period3`` calls) it starts when the caller asks for that
+    report, so shards of this m that the workers finished while the
+    caller checked the previous m do not count.
     """
 
     n: int
@@ -149,7 +155,11 @@ def worker_pool(jobs: int, shards: int):
 
 
 def _run_shards(shard, tasks: list[tuple], jobs: int, pool) -> list:
-    """``shard(*task)`` for every task, on ``pool`` or on a pool of our own."""
+    """``shard(*task)`` for every task, on ``pool`` or on a pool of our own.
+
+    Only ``census_full`` uses it: its shards all belong to one search, so
+    one blocking ``starmap`` loses nothing.  The sweep streams its shards
+    through ``sweep_reports`` instead."""
     if pool is not None:
         return pool.starmap(shard, tasks)
     with worker_pool(jobs, len(tasks)) as own:
@@ -201,19 +211,23 @@ def _walk_ok(rows: list, full: int, a: int, b: int, c: int) -> bool:
 
 
 def sweep_tasks(m: int, jobs: int) -> list[tuple[int, int, int]]:
-    """The shards of ``sweep_period3(m, jobs)``: shard i scans the first
-    sides a = i, i + k, i + 2k, ... up to n // 2, for k = min(jobs, n // 2)
-    shards.  Interleaving balances them, as a small a costs the most."""
+    """The shards (m, first, step) of ``sweep_period3(m, jobs)``: shard i
+    scans the first sides a = i, i + k, i + 2k, ... up to n // 2, for
+    k = min(jobs, n // 2) shards.  Interleaving balances them, as a small
+    a costs the most."""
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     k = min(jobs, 3 * m // 2)
     return [(m, first, k) for first in range(1, k + 1)]
 
 
-def _sweep_shard(m: int, first: int, step: int):
-    """Scan the orbit-least candidates (a, b, c) with a = first, first +
-    step, ...; returns the canonical 3-blocks of the axial, circular,
-    regular and other classes found.
+def _sweep_shard(task: tuple[int, int, int]):
+    """Scan the orbit-least candidates (a, b, c) of the shard ``task`` =
+    (m, first, step), those with a = first, first + step, ...; returns the
+    canonical 3-blocks of the axial, circular, regular and other classes
+    found, as four lists.  Each candidate is scanned once, so no list
+    repeats a block.  A list unpickles into one buffer, so shard results
+    waiting in the parent for their merge stay small.
 
     Validity and class are invariant under the six images of a block (its
     cyclic shifts and those of its reversed complement), so each orbit is
@@ -224,13 +238,14 @@ def _sweep_shard(m: int, first: int, step: int):
     is walked; an image can only tie or beat it when it also starts with
     a, and then the full six-image minimum decides.
     """
+    m, first, step = task
     n = 3 * m
     full = (1 << n) - 1
     rows = _walk_rows(m)
-    axial: set = set()
-    circular: set = set()
-    regular: set = set()
-    other: set = set()
+    axial: list = []
+    circular: list = []
+    regular: list = []
+    other: list = []
     for a in range(first, n // 2 + 1, step):
         top = n - a
         for b in range(a, top + 1):
@@ -252,38 +267,56 @@ def _sweep_shard(m: int, first: int, step: int):
                 # complement never is, and its reversed complement (rotation
                 # order 2m) only with three distinct sides
                 if a == b == c:
-                    regular.add(t)
+                    regular.append(t)
                 elif a == b or b == c or a == c:
-                    axial.add(t)
+                    axial.append(t)
                 elif t in rc:
-                    other.add(t)
+                    other.append(t)
                 else:
-                    circular.add(t)
+                    circular.append(t)
     return axial, circular, regular, other
 
 
-def sweep_period3(m: int, jobs: int = 1, pool=None) -> OracleReport:
-    """Classify every valid 3-periodic walk on n = 3m vertices.
+def sweep_reports(ms: Iterable[int], jobs: int = 1, pool=None) -> Iterator[OracleReport]:
+    """``sweep_period3(m, jobs)`` for each m of ``ms``, yielded in order.
 
-    The orbits of all (n-1)^3 generator triples are covered; no residue
-    or gcd conditions are applied, so the result is independent of the
-    enumeration module.  ``pool`` (from ``worker_pool``) runs the shards
-    of ``sweep_tasks(m, jobs)`` on existing workers; the result does not
-    depend on either.
+    Every shard of every m (``sweep_tasks(m, jobs)``) goes to the workers
+    in one ordered ``imap``, so they sweep the next m while the caller
+    checks the report of this one; with no pool they run lazily in this
+    process.  ``pool`` (from ``worker_pool``) runs them on existing
+    workers; without it, ``jobs`` > 1 opens a pool for the whole range.
+    The reports do not depend on either.
     """
-    _require_family_m(m)
-    n = 3 * m
+    ms = list(ms)
+    for m in ms:
+        _require_family_m(m)
+    tasks = [sweep_tasks(m, jobs) for m in ms]
+    with contextlib.ExitStack() as stack:
+        if pool is None:
+            pool = stack.enter_context(worker_pool(jobs, max(map(len, tasks), default=1)))
+        flat = [task for shards in tasks for task in shards]
+        parts = map(_sweep_shard, flat) if pool is None else pool.imap(_sweep_shard, flat)
+        for m, shards in zip(ms, tasks):
+            yield _sweep_report(m, itertools.islice(parts, len(shards)))
+
+
+def _sweep_report(m: int, parts) -> OracleReport:
+    """The report of the sweep at m from the results of its shards.
+
+    A function of its own, so that its working sets are freed before
+    ``sweep_reports`` yields the report.
+    """
     start = time.perf_counter()
-    tasks = sweep_tasks(m, jobs)
     axial: set = set()
     circular: set = set()
     regular: set = set()
     other: set = set()
-    for ax, ci, re, ot in _run_shards(_sweep_shard, tasks, jobs, pool):
-        axial |= ax
-        circular |= ci
-        regular |= re
-        other |= ot
+    for ax, ci, re, ot in parts:
+        axial.update(ax)
+        circular.update(ci)
+        regular.update(re)
+        other.update(ot)
+    n = 3 * m
     return OracleReport(
         n=n,
         axial_blocks=frozenset(axial),
@@ -293,6 +326,19 @@ def sweep_period3(m: int, jobs: int = 1, pool=None) -> OracleReport:
         census_size=(n - 1) ** 3,
         elapsed=time.perf_counter() - start,
     )
+
+
+def sweep_period3(m: int, jobs: int = 1, pool=None) -> OracleReport:
+    """Classify every valid 3-periodic walk on n = 3m vertices.
+
+    The orbits of all (n-1)^3 generator triples are covered; no residue
+    or gcd conditions are applied, so the result is independent of the
+    enumeration module.  ``pool`` (from ``worker_pool``) runs the shards
+    of ``sweep_tasks(m, jobs)`` on existing workers; the result does not
+    depend on either.  This is ``sweep_reports([m], jobs, pool)``.
+    """
+    (report,) = sweep_reports([m], jobs, pool)
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -460,18 +506,41 @@ def census_full(n: int, jobs: int = 1, pool=None) -> OracleReport:
 
 
 def theorem_axial_blocks(m: int) -> frozenset[tuple[int, int, int]]:
-    """Canonical length-3 blocks of the classes enumerate_axial lists."""
-    _require_family_m(m)
-    n = 3 * m
-    return frozenset(block_symmetry(n, (a, b, a)).block for a, b, _ in _axial_pairs(m))
+    """Canonical length-3 blocks of the classes enumerate_axial lists.
 
-
-def theorem_circular_blocks(m: int) -> frozenset[tuple[int, int, int]]:
-    """Canonical length-3 blocks of the classes enumerate_circular lists."""
+    The canonical block is the least of the six images of (a, b, a): its
+    cyclic shifts and those of its reversed complement (n-a, n-b, n-a).
+    Theorem generators are 1 mod 3 and the complemented entries n - x
+    are 2 mod 3, so the two kinds of image never tie: the least
+    starts with min(a, b) when that is below n - max(a, b), that is when
+    a + b < n, and with n - max(a, b) otherwise.  So each class takes
+    O(1), with no ``block_symmetry`` call.
+    """
     _require_family_m(m)
     n = 3 * m
     return frozenset(
-        block_symmetry(n, (a, b, c)).block for a, b, c, _ in _circular_triples(m)
+        ((a, a, b) if a < b else (b, a, a))
+        if a + b < n
+        else ((n - b, n - a, n - a) if a < b else (n - a, n - a, n - b))
+        for a, b, _ in _axial_pairs(m)
+    )
+
+
+def theorem_circular_blocks(m: int) -> frozenset[tuple[int, int, int]]:
+    """Canonical length-3 blocks of the classes enumerate_circular lists.
+
+    By the residue argument of ``theorem_axial_blocks``, the least of the
+    six images of the least-shift triple (a, b, c) (a < b, a < c) is
+    (a, b, c) itself when a < n - max(b, c), and otherwise the shift of
+    the reversed complement (n-c, n-b, n-a) that starts with n - max(b, c).
+    """
+    _require_family_m(m)
+    n = 3 * m
+    return frozenset(
+        (a, b, c)
+        if a + max(b, c) < n
+        else ((n - b, n - a, n - c) if b > c else (n - c, n - b, n - a))
+        for a, b, c, _ in _circular_triples(m)
     )
 
 

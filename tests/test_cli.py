@@ -1,5 +1,8 @@
+import contextlib
 import dataclasses
 import json
+import multiprocessing
+import multiprocessing.pool
 import subprocess
 import sys
 
@@ -228,13 +231,30 @@ class TestVerify:
         report = json.loads(out.splitlines()[-1])
         assert report["results"] == [{"m": 3, "family": "axial", "ok": True}]
 
-    def test_jobs_flag_does_not_change_output(self, capfd):
-        rc1, out1, _ = run(["verify", "--mode", "sweep", "--m", "3..8"], capfd)
+    def test_jobs_flag_does_not_change_output(self, capfd, monkeypatch):
+        # two usable CPUs: --jobs 3 deals three shards per m to two workers
+        monkeypatch.setattr(oracle, "_usable_cpus", lambda: 2)
+        rc1, out1, _ = run(["verify", "--mode", "sweep", "--m", "3..12"], capfd)
         for jobs in ("2", "3"):
             rc2, out2, _ = run(
-                ["verify", "--mode", "sweep", "--m", "3..8", "--jobs", jobs], capfd
+                ["verify", "--mode", "sweep", "--m", "3..12", "--jobs", jobs], capfd
             )
             assert (rc1, out1) == (rc2, out2)
+
+    def test_sweep_range_is_one_dispatch(self, capfd, monkeypatch):
+        monkeypatch.setattr(oracle, "_usable_cpus", lambda: 2)
+        calls = []
+        for name in ("imap", "imap_unordered", "map", "starmap"):
+            real = getattr(multiprocessing.pool.Pool, name)
+
+            def counting(pool, *args, _name=name, _real=real, **kwargs):
+                calls.append(_name)
+                return _real(pool, *args, **kwargs)
+
+            monkeypatch.setattr(multiprocessing.pool.Pool, name, counting)
+        rc, _, _ = run(["verify", "--mode", "sweep", "--m", "3..8", "--jobs", "2"], capfd)
+        assert rc == 0
+        assert calls == ["imap"]
 
     @pytest.mark.parametrize("mode", ["sweep", "gcd"])
     @pytest.mark.parametrize("jobs", ["0", "-2"])
@@ -300,6 +320,17 @@ def patch_report(monkeypatch, name, change):
     monkeypatch.setattr(oracle, name, patched)
 
 
+def patch_sweep_reports(monkeypatch, change):
+    """Make ``oracle.sweep_reports`` yield ``change(report)`` for each of its
+    own reports."""
+    real = oracle.sweep_reports
+
+    def patched(*args, **kwargs):
+        return map(change, real(*args, **kwargs))
+
+    monkeypatch.setattr(oracle, "sweep_reports", patched)
+
+
 def drop_least(blocks):
     return blocks - {min(blocks)}
 
@@ -313,9 +344,8 @@ class TestVerifyFailures:
         assert (rc, out, err) == (1, "", f"FAIL: {message}\n")
 
     def test_sweep_count(self, capfd, monkeypatch):
-        patch_report(
+        patch_sweep_reports(
             monkeypatch,
-            "sweep_period3",
             lambda r: dataclasses.replace(r, axial_blocks=drop_least(r.axial_blocks)),
         )
         self.assert_fails(
@@ -324,9 +354,8 @@ class TestVerifyFailures:
 
     def test_sweep_class_set(self, capfd, monkeypatch):
         # same count, but (0, 0, 0) is no theorem block
-        patch_report(
+        patch_sweep_reports(
             monkeypatch,
-            "sweep_period3",
             lambda r: dataclasses.replace(
                 r, axial_blocks=drop_least(r.axial_blocks) | {(0, 0, 0)}
             ),
@@ -334,6 +363,34 @@ class TestVerifyFailures:
         self.assert_fails(
             ["--mode", "sweep", "--m", "3..3"], "sweep m=3: axial class sets differ", capfd
         )
+
+    def test_sweep_failure_mid_range_tears_down_pool(self, capfd, monkeypatch):
+        # m = 4 fails after the shards of m = 5 went to the workers
+        monkeypatch.setattr(oracle, "_usable_cpus", lambda: 2)
+        pools = []
+        real_pool = oracle.worker_pool
+
+        @contextlib.contextmanager
+        def recording(jobs, shards):
+            with real_pool(jobs, shards) as pool:
+                pools.append(pool)
+                yield pool
+
+        monkeypatch.setattr(oracle, "worker_pool", recording)
+        patch_sweep_reports(
+            monkeypatch,
+            lambda r: dataclasses.replace(r, axial_blocks=drop_least(r.axial_blocks))
+            if r.n == 12
+            else r,
+        )
+        before = set(multiprocessing.active_children())
+        self.assert_fails(
+            ["--mode", "sweep", "--m", "3..5", "--jobs", "2"],
+            "sweep m=4: axial count 5 != formula 6",
+            capfd,
+        )
+        assert len(pools) == 1 and pools[0] is not None
+        assert set(multiprocessing.active_children()) <= before
 
     def test_census_against_sweep(self, capfd, monkeypatch):
         patch_report(

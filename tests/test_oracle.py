@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import math
 import multiprocessing
@@ -15,6 +16,7 @@ from polysym import (
     VerificationError,
     WalkError,
 )
+import polysym.oracle as oracle
 from polysym.oracle import (
     _scan_axial_count,
     _scan_circular_count,
@@ -31,6 +33,7 @@ from polysym.polygon_core import canonical_sides, side_symmetry
 from walks import (
     reference_census_shard,
     reference_sweep,
+    reference_theorem_blocks,
     slice_canonical,
     undirected_cycles,
     walk3,
@@ -259,6 +262,53 @@ class TestSweep:
     def test_rejects_m_too_small(self):
         with pytest.raises(MTooSmall):
             ps.sweep_period3(2)
+
+    @pytest.mark.parametrize("m", range(3, 41))
+    def test_theorem_blocks_match_block_kernel(self, m):
+        assert theorem_axial_blocks(m) == reference_theorem_blocks(m, "axial")
+        assert theorem_circular_blocks(m) == reference_theorem_blocks(m, "circular")
+
+
+def untimed(reports):
+    return [dataclasses.replace(r, elapsed=0.0) for r in reports]
+
+
+class TestSweepReports:
+    """One dispatch for a range of m: the same reports as one
+    ``sweep_period3`` per m, whatever runs the shards."""
+
+    MS = range(3, 13)
+
+    def test_shared_pool_matches_serial_per_m(self):
+        serial = untimed(ps.sweep_period3(m) for m in self.MS)
+        with multiprocessing.Pool(2) as pool:
+            assert untimed(ps.sweep_reports(self.MS, 2, pool)) == serial
+
+    def test_own_pool_matches_serial_per_m(self, monkeypatch):
+        monkeypatch.setattr(oracle, "_usable_cpus", lambda: 2)
+        ms = range(3, 7)
+        assert untimed(ps.sweep_reports(ms, 2)) == untimed(map(ps.sweep_period3, ms))
+
+    def test_serial_reports_are_lazy(self, monkeypatch):
+        # one usable CPU: jobs = 2 runs its two shards per m in this process
+        monkeypatch.setattr(oracle, "_usable_cpus", lambda: 1)
+        calls = []
+        real = oracle._sweep_shard
+
+        def counting(task):
+            calls.append(task)
+            return real(task)
+
+        monkeypatch.setattr(oracle, "_sweep_shard", counting)
+        reports = ps.sweep_reports(range(3, 6), 2)
+        assert calls == []
+        assert next(reports).n == 9
+        assert calls == sweep_tasks(3, 2)
+        assert [r.n for r in reports] == [12, 15]
+        assert len(calls) == 6
+
+    def test_empty_range(self):
+        assert list(ps.sweep_reports([], 2)) == []
 
 
 class TestFastPathsAgainstGeometry:

@@ -1,6 +1,7 @@
 """Side tuples of walks with a prescribed symmetry, drawn from a seeded RNG,
 per-triple reference versions of the oracle's walk check and sweep, a
-per-permutation reference version of its census shard, and per-record and
+block-kernel reference for its theorem class sets, a per-permutation
+reference version of its census shard, and per-record and
 per-cell reference versions of the ``enumerate`` and ``render`` output.
 
 Shared by the golden-output, kernel, oracle, CLI and render tests.  Every
@@ -13,8 +14,8 @@ import math
 import random
 from itertools import permutations
 
-from polysym import SideTuple, validate_walk
-from polysym.polygon_core import canonical_sides, side_symmetry
+from polysym import SideTuple, enumerate_axial, enumerate_circular, validate_walk
+from polysym.polygon_core import block_symmetry, canonical_sides, side_symmetry
 
 
 def undirected_cycles(n):
@@ -181,6 +182,18 @@ def reference_sweep(m: int):
                 else:
                     other.add(key)
     return axial, circular, regular, len(other)
+
+
+def reference_theorem_blocks(m: int, family: str) -> frozenset:
+    """The canonical 3-block of every class ``enumerate_axial`` or
+    ``enumerate_circular`` lists, from the block kernel: the reference
+    for the residue shortcut of ``oracle.theorem_*_blocks``."""
+    n = 3 * m
+    if family == "axial":
+        blocks = [(r.a, r.b, r.a) for r in enumerate_axial(m)]
+    else:
+        blocks = [(r.a, r.b, r.c) for r in enumerate_circular(m)]
+    return frozenset(block_symmetry(n, t).block for t in blocks)
 
 
 def reference_census_shard(n: int, second: int):
