@@ -154,18 +154,17 @@ def worker_pool(jobs: int, shards: int):
         yield pool
 
 
-def _run_shards(shard, tasks: list[tuple], jobs: int, pool) -> list:
-    """``shard(*task)`` for every task, on ``pool`` or on a pool of our own.
+def _run_shards(shard, tasks: list[tuple], jobs: int, pool) -> Iterator:
+    """``shard(task)`` for every task, yielded in order as each arrives.
 
-    Only ``census_full`` uses it: its shards all belong to one search, so
-    one blocking ``starmap`` loses nothing.  The sweep streams its shards
-    through ``sweep_reports`` instead."""
-    if pool is not None:
-        return pool.starmap(shard, tasks)
-    with worker_pool(jobs, len(tasks)) as own:
-        if own is None:
-            return [shard(*task) for task in tasks]
-        return own.starmap(shard, tasks)
+    The tasks go to ``pool`` (from ``worker_pool``), or to a pool of our
+    own sized by ``jobs``, in one ordered ``imap``; run serially, each is
+    computed in this process when asked for.  A pool of our own lives
+    until the last result is taken or the generator is closed."""
+    with contextlib.ExitStack() as stack:
+        if pool is None:
+            pool = stack.enter_context(worker_pool(jobs, len(tasks)))
+        yield from map(shard, tasks) if pool is None else pool.imap(shard, tasks)
 
 
 # ---------------------------------------------------------------------------
@@ -284,27 +283,32 @@ def sweep_reports(ms: Iterable[int], jobs: int = 1, pool=None) -> Iterator[Oracl
     in one ordered ``imap``, so they sweep the next m while the caller
     checks the report of this one; with no pool they run lazily in this
     process.  ``pool`` (from ``worker_pool``) runs them on existing
-    workers; without it, ``jobs`` > 1 opens a pool for the whole range.
-    The reports do not depend on either.
+    workers; without it, ``jobs`` > 1 opens a pool for the whole range,
+    which closing the returned iterator shuts down.  The reports do not
+    depend on either.  ``ms`` and ``jobs`` are checked here, before any
+    shard runs.
     """
     ms = list(ms)
     for m in ms:
         _require_family_m(m)
     tasks = [sweep_tasks(m, jobs) for m in ms]
-    with contextlib.ExitStack() as stack:
-        if pool is None:
-            pool = stack.enter_context(worker_pool(jobs, max(map(len, tasks), default=1)))
-        flat = [task for shards in tasks for task in shards]
-        parts = map(_sweep_shard, flat) if pool is None else pool.imap(_sweep_shard, flat)
-        for m, shards in zip(ms, tasks):
-            yield _sweep_report(m, itertools.islice(parts, len(shards)))
+    parts = _run_shards(_sweep_shard, [t for shards in tasks for t in shards], jobs, pool)
+    return _sweep_stream(zip(ms, map(len, tasks)), parts)
+
+
+def _sweep_stream(sizes, parts) -> Iterator[OracleReport]:
+    """One report per (m, shard count) of ``sizes``, each from its next
+    shard results in ``parts``; closing it closes ``parts``."""
+    with contextlib.closing(parts):
+        for m, count in sizes:
+            yield _sweep_report(m, itertools.islice(parts, count))
 
 
 def _sweep_report(m: int, parts) -> OracleReport:
     """The report of the sweep at m from the results of its shards.
 
     A function of its own, so that its working sets are freed before
-    ``sweep_reports`` yields the report.
+    ``_sweep_stream`` yields the report.
     """
     start = time.perf_counter()
     axial: set = set()
@@ -357,7 +361,7 @@ def census_tasks(n: int) -> list[tuple[int, int]]:
 _TAIL = 5  # free vertices left when a cycle's tail comes from the cache
 
 
-def _census_shard(n: int, second: int):
+def _census_shard(task: tuple[int, int]):
     """Examine all cycles 0 -> second -> ... -> last -> 0 with second < last.
 
     Every undirected Hamiltonian cycle shows up exactly once across the
@@ -380,7 +384,9 @@ def _census_shard(n: int, second: int):
     sum(sides) = n^2 / 2 (so never for odd n).  The few survivors go
     through the side-sequence symmetry kernel.  Returns the four class
     sets, the number of cycles screened and the number profiled.
+    ``task`` is (n, second).
     """
+    n, second = task
     side = [[bytes(((q - p) % n,)) for q in range(n)] for p in range(n)]
     # the reversed complement's bytes: x -> n - x
     table = bytes((n - x) % 256 for x in range(256))

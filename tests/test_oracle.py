@@ -282,12 +282,12 @@ class TestSweepReports:
     def test_shared_pool_matches_serial_per_m(self):
         serial = untimed(ps.sweep_period3(m) for m in self.MS)
         with multiprocessing.Pool(2) as pool:
-            assert untimed(ps.sweep_reports(self.MS, 2, pool)) == serial
+            assert untimed(oracle.sweep_reports(self.MS, 2, pool)) == serial
 
     def test_own_pool_matches_serial_per_m(self, monkeypatch):
         monkeypatch.setattr(oracle, "_usable_cpus", lambda: 2)
         ms = range(3, 7)
-        assert untimed(ps.sweep_reports(ms, 2)) == untimed(map(ps.sweep_period3, ms))
+        assert untimed(oracle.sweep_reports(ms, 2)) == untimed(map(ps.sweep_period3, ms))
 
     def test_serial_reports_are_lazy(self, monkeypatch):
         # one usable CPU: jobs = 2 runs its two shards per m in this process
@@ -300,7 +300,7 @@ class TestSweepReports:
             return real(task)
 
         monkeypatch.setattr(oracle, "_sweep_shard", counting)
-        reports = ps.sweep_reports(range(3, 6), 2)
+        reports = oracle.sweep_reports(range(3, 6), 2)
         assert calls == []
         assert next(reports).n == 9
         assert calls == sweep_tasks(3, 2)
@@ -308,7 +308,22 @@ class TestSweepReports:
         assert len(calls) == 6
 
     def test_empty_range(self):
-        assert list(ps.sweep_reports([], 2)) == []
+        assert list(oracle.sweep_reports([], 2)) == []
+
+    def test_arguments_checked_before_any_report(self):
+        with pytest.raises(MTooSmall):
+            oracle.sweep_reports([3, 2])
+        with pytest.raises(ValueError, match="jobs"):
+            oracle.sweep_reports([3], 0)
+
+    def test_closing_shuts_own_pool_down(self, monkeypatch):
+        monkeypatch.setattr(oracle, "_usable_cpus", lambda: 2)
+        before = set(multiprocessing.active_children())
+        reports = oracle.sweep_reports(range(3, 9), 2)
+        assert next(reports).n == 9
+        assert set(multiprocessing.active_children()) > before
+        reports.close()
+        assert set(multiprocessing.active_children()) <= before
 
 
 class TestFastPathsAgainstGeometry:
