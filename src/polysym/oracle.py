@@ -6,8 +6,9 @@ Two independent searches back the closed formulas:
   [1, n-1]^3 with no arithmetic filtering: it walks the least triple of
   every orbit under the block's cyclic shifts and reversed complement,
   keeps the valid walks, and classifies them geometrically;
-* ``census_full`` walks every Hamiltonian cycle on n circle vertices
-  (n <= 12) and classifies each one.
+* ``census_full`` covers every Hamiltonian cycle on n circle vertices
+  (n <= 12): a depth-first search builds and classifies the cycles that
+  can have a nontrivial rotation and counts the others by subtree size.
 
 Both report rotation classes by canonical side tuple.  ``verify_sweep``
 and ``verify_census`` compare a finished report with the closed formulas,
@@ -358,7 +359,8 @@ def census_tasks(n: int) -> list[tuple[int, int]]:
     return [(n, second) for second in range(1, n - 1)]
 
 
-_TAIL = 5  # free vertices left when a cycle's tail comes from the cache
+_OPEN = -1  # no antipodal pair placed yet, so k is still free
+_DEAD = -2  # no direction-reversing rotation on this branch
 
 
 def _census_shard(task: tuple[int, int]):
@@ -366,105 +368,119 @@ def _census_shard(task: tuple[int, int]):
 
     Every undirected Hamiltonian cycle shows up exactly once across the
     shards of ``census_tasks(n)`` (fixing start 0 kills rotation of the
-    start point, second < last kills direction).  The side bytes of every
-    cycle are built and screened (n <= 12, so each side fits one byte):
+    start point, second < last kills direction).  Cycles whose chord set
+    has no rotation symmetry beyond the identity are Other by definition,
+    so only the others are built: a depth-first search places
+    v_0 = 0, v_1 = second, v_2, ... one position at a time and follows a
+    branch only while one of two necessary conditions for a nontrivial
+    rotation v -> v + t can still hold.  A dropped subtree with r >= 1
+    vertices left is counted by its size, (r-1)! * #{left v : v > second}.
+    With sides s_i = v_{i+1} - v_i and indices mod n:
 
-    * a depth-first search over the free vertices extends a shared
-      prefix of side bytes by one side per level;
-    * once ``_TAIL`` vertices remain, every ordering of them comes from a
-      cache keyed by (previous vertex, remaining set).  An entry holds the
-      remaining sides including the closing side n - last, for the
-      orderings with last > second only, grouped by their side sum;
-    * so a cycle costs one ``prefix + tail`` concatenation and the screen.
+    * A rotation that keeps the direction makes the sides match a nonzero
+      shift of themselves, so they repeat with some period p < n dividing
+      n, hence with period d = n / q for a prime q dividing n.  Period d
+      means v_{i+d} = v_i + D with D = v_d; closing after n/d blocks needs
+      D = 0 mod d, so v_i + jD keeps the residue of v_i mod d, and
+      v_0 .. v_{d-1} have distinct residues mod d.  The search checks the
+      residues while i < d, D = 0 mod d at i = d and v_i = v_{i-d} + D
+      after.  Conversely a full cycle passing these has d-periodic sides:
+      the wrap v_{n-d+r} + D = v_r holds because (n/d) D = 0 mod n.
+    * A rotation that reverses the direction reads the cycle backwards
+      from some v_k with the same sides: v_{k-i} = v_i + t for every i.
+      Applied twice this gives 2t = 0, and t = 0 would need k = 2i for
+      every i, so n is even and t = h = n/2: every vertex and its antipode
+      sit at positions that sum to k mod n.  An even k would pair position
+      k/2 with itself, so k = 2c + 1 with 0 <= c < h, and the position
+      pairs are {c - j, c + 1 + j} mod n for j < h.  The first of them
+      the prefix completes is (c, c + 1), so the first antipodal pair
+      placed must sit at adjacent positions, and it fixes k.  After that a
+      position i whose partner k - i is filled must hold the antipode of
+      that vertex, and any other position a vertex whose antipode is not
+      placed yet.  A full cycle passing these has every antipodal pair
+      summing to k, as each pair was checked when its later vertex was
+      placed.
 
-    Cycles whose chord set has no rotation symmetry beyond the identity
-    are Other by definition and are screened out: a nontrivial rotation
-    forces the side sequence to match a nonzero shift of itself, or a
-    shift of its reversed complement, and the latter needs
-    sum(sides) = n^2 / 2 (so never for odd n).  The few survivors go
-    through the side-sequence symmetry kernel.  Returns the four class
-    sets, the number of cycles screened and the number profiled.
-    ``task`` is (n, second).
+    So the cycles reached are exactly those whose sides match a nonzero
+    shift of themselves or a shift of their reversed complement, that is
+    the cycles with a nontrivial rotation, and each goes through the
+    side-sequence kernel.  Returns the four class sets, the number of
+    cycles (reached or counted) and the number profiled.  ``task`` is
+    (n, second).
     """
     n, second = task
-    side = [[bytes(((q - p) % n,)) for q in range(n)] for p in range(n)]
-    # the reversed complement's bytes: x -> n - x
-    table = bytes((n - x) % 256 for x in range(256))
-    even = n % 2 == 0
-    half = n * n // 2  # sum(sides) when a reversing rotation exists
-    free = tuple(v for v in range(1, n) if v != second)
-    tail_len = min(_TAIL, len(free))
-    tails: dict = {}
-    groups: dict = {}
-    survivors: list[bytes] = []
-    count = 0
-
-    def tail(prev: int, rest: tuple) -> list[bytes]:
-        """Sides from ``prev`` through each ordering of ``rest`` back to 0."""
-        key = (prev, rest)
-        out = tails.get(key)
-        if out is None:
-            row = side[prev]
-            if len(rest) == 1:
-                last = rest[0]
-                out = [row[last] + side[last][0]] if last > second else []
-            else:
-                out = [
-                    row[v] + t
-                    for i, v in enumerate(rest)
-                    for t in tail(v, rest[:i] + rest[i + 1 :])
-                ]
-            tails[key] = out
-        return out
-
-    def grouped(prev: int, rest: tuple) -> list[tuple[int, list[bytes]]]:
-        """``tail(prev, rest)`` as (side sum, tails) pairs; one group for odd n."""
-        key = (prev, rest)
-        out = groups.get(key)
-        if out is None:
-            if even:
-                by_sum: dict = {}
-                for t in tail(prev, rest):
-                    by_sum.setdefault(sum(t), []).append(t)
-                out = list(by_sum.items())
-            else:
-                out = [(0, tail(prev, rest))]
-            groups[key] = out
-        return out
-
-    def extend(prefix: bytes, prev: int, rest: tuple) -> None:
-        nonlocal count
-        if len(rest) > tail_len:
-            row = side[prev]
-            for i, v in enumerate(rest):
-                extend(prefix + row[v], v, rest[:i] + rest[i + 1 :])
-            return
-        reversing = half - sum(prefix) if even else -1
-        for tail_sum, ts in grouped(prev, rest):
-            count += len(ts)
-            if tail_sum != reversing:
-                survivors.extend(
-                    [sb for sb in map(prefix.__add__, ts) if (sb + sb).find(sb, 1) < n]
-                )
-                continue
-            for sb in map(prefix.__add__, ts):
-                twice = sb + sb
-                if twice.find(sb, 1) < n or twice.find(sb[::-1].translate(table)) >= 0:
-                    survivors.append(sb)
-
-    extend(side[0][second], second, free)
+    h = n // 2
+    periods = [  # n / q for each prime q dividing n
+        n // q for q in range(2, n + 1) if n % q == 0 and all(q % r for r in range(2, q))
+    ]
+    sizes = [math.factorial(k) for k in range(n)]
+    verts = [0] * n  # v_0 .. v_{i-1} of the branch being searched
+    at = [-1] * n  # the position of each placed vertex, -1 while free
     found: dict = {tag: set() for tag in FamilyTag}
-    for sb in survivors:
-        sides = list(sb)
-        tag = family_of(n, side_symmetry(n, sides).profile).tag
-        found[tag].add(canonical_sides(n, sides))
+    count = 0
+    profiled = 0
+
+    def place(i: int, v: int, live: list, k: int) -> tuple[list, int]:
+        """The periods and the k still possible once v sits at position i."""
+        keep = []
+        for d in live:
+            if i < d:  # v_0 .. v_{d-1} in distinct classes mod d
+                ok = all((v - verts[j]) % d for j in range(i))
+            elif i == d:  # D = v_d = 0 mod d
+                ok = v % d == 0
+            else:  # v_i = v_{i-d} + D
+                ok = v == (verts[i - d] + verts[d]) % n
+            if ok:
+                keep.append(d)
+        if k == _OPEN:
+            p = at[(v + h) % n]
+            if p >= 0:  # the first antipodal pair: adjacent, k = p + i
+                k = 2 * i - 1 if p == i - 1 else _DEAD
+        elif k != _DEAD:
+            j = (k - i) % n  # the partner position: a filled one holds
+            # the antipode of v, an open one keeps the antipode free
+            if (v - verts[j]) % n != h if j < i else at[(v + h) % n] >= 0:
+                k = _DEAD
+        return keep, k
+
+    def extend(i: int, rest: list, above: int, live: list, k: int) -> None:
+        """Search position i onwards, with ``above`` of the free vertices
+        ``rest`` greater than ``second``."""
+        nonlocal count, profiled
+        if not rest:
+            count += 1
+            profiled += 1
+            sides = [(b - a) % n for a, b in zip(verts, verts[1:] + [0])]
+            tag = family_of(n, side_symmetry(n, sides).profile).tag
+            found[tag].add(canonical_sides(n, sides))
+            return
+        r = len(rest)
+        for v in rest:
+            if r == 1 and v < second:
+                continue  # the cycle runs the other way
+            left = above - (v > second)
+            keep, k2 = place(i, v, live, k)
+            if keep or k2 != _DEAD:
+                verts[i] = v
+                at[v] = i
+                extend(i + 1, [u for u in rest if u != v], left, keep, k2)
+                at[v] = -1
+            else:
+                count += sizes[r - 2] * left if r > 1 else 1
+
+    at[0] = 0
+    at[second] = 1
+    verts[1] = second
+    free = [v for v in range(1, n) if v != second]
+    start = place(1, second, periods, _OPEN if n % 2 == 0 else _DEAD)
+    extend(2, free, n - 1 - second, *start)
     return (
         found[FamilyTag.AXIAL],
         found[FamilyTag.CIRCULAR],
         found[FamilyTag.REGULAR],
         found[FamilyTag.OTHER],
         count,
-        len(survivors),
+        profiled,
     )
 
 
@@ -473,8 +489,11 @@ def census_full(n: int, jobs: int = 1, pool=None) -> OracleReport:
 
     ``pool`` (from ``worker_pool``) runs the shards of ``census_tasks(n)``
     on existing workers; the result does not depend on it or on ``jobs``.
-    ``stats`` counts the cycles, those the screen discarded and those
-    profiled by the symmetry kernel.
+    The shards build only the cycles that can have a nontrivial rotation
+    and add every pruned subtree to ``census_size`` by its exact size, so
+    the (n-1)!/2 check still covers the whole search.  ``stats`` counts
+    the cycles, those pruned without being built (``screened_out``) and
+    those profiled by the symmetry kernel.
     """
     if n < 3:
         raise NTooSmall(n)

@@ -10,5 +10,6 @@ def census9():
 
 @pytest.fixture(scope="session")
 def census12():
-    # 15-20 s on one core; shared by the classification and acceptance tests.
+    # About 1 s on one core; shared by the classification, oracle and
+    # acceptance tests.
     return ps.census_full(12)

@@ -91,13 +91,18 @@ def serial_census(n):
     return ps.census_full(n)
 
 
+@functools.lru_cache(maxsize=None)
+def reference_shard(n, second):
+    return reference_census_shard(n, second)
+
+
 def reference_census(n):
     """The census results of ``reference_census_shard``, merged over
     second = 1..n-1."""
     axial, circular, regular, other = set(), set(), set(), set()
     count = 0
     for second in range(1, n):
-        ax, ci, re, ot, cnt = reference_census_shard(n, second)
+        ax, ci, re, ot, cnt, _ = reference_shard(n, second)
         axial |= ax
         circular |= ci
         regular |= re
@@ -113,23 +118,56 @@ def reference_census(n):
 
 
 class TestCensusKernel:
-    """The prefix/tail census against the per-permutation reference."""
+    """The pruned census search against the per-permutation reference."""
 
     @pytest.mark.parametrize("n", range(3, 11))
     def test_matches_permutation_reference(self, n):
         assert census_results(serial_census(n)) == reference_census(n)
 
     @pytest.mark.parametrize("n", range(3, 11))
+    def test_each_shard_matches_permutation_reference(self, n):
+        # class sets, cycle count and profiled count, second = n - 1 too
+        for second in range(1, n):
+            assert oracle._census_shard((n, second)) == reference_shard(n, second), second
+
+    @pytest.mark.parametrize("n", range(3, 12))
     def test_one_count_per_cycle(self, n):
         assert serial_census(n).census_size == math.factorial(n - 1) // 2
 
-    @pytest.mark.parametrize("n", range(3, 11))
+    @pytest.mark.parametrize("n", range(3, 12))
     def test_stage_counters(self, n):
         stats = serial_census(n).stats
         assert set(stats) == {"cycles", "screened_out", "profiled"}
         assert stats["screened_out"] + stats["profiled"] == stats["cycles"]
         assert stats["cycles"] == serial_census(n).census_size
         assert stats["cycles"] == math.factorial(n - 1) // 2
+
+    def test_dodecagon_stage_counters(self, census12):
+        # the cycles whose side bytes match a nonzero shift of themselves
+        # or a shift of their reversed complement, counted by screening
+        # every cycle: the search reaches every symmetric cycle at n = 12
+        assert census12.stats == {
+            "cycles": 19958400,
+            "screened_out": 19944804,
+            "profiled": 13596,
+        }
+
+    @pytest.mark.parametrize("n", range(3, 13))
+    def test_burnside_counts(self, n):
+        """Burnside's lemma for the rotation group acting on the cycles,
+        as Golomb and Welch use it to count polygons ("On the enumeration
+        of polygons", Amer. Math. Monthly 67, 1960): a class of rotation
+        order r stands for n/r of the profiled cycles, and the cycles with
+        no rotation fall into orbits of n."""
+        classes = set()
+        profiled = 0
+        for task in census_tasks(n):
+            *found, _, prof = oracle._census_shard(task)
+            classes.update(*found)
+            profiled += prof
+        orbits = sum(n // side_symmetry(n, list(c)).profile.rotation_order for c in classes)
+        assert orbits == profiled
+        assert (math.factorial(n - 1) // 2 - profiled) % n == 0
 
     def test_jobs_do_not_change_results(self):
         two = ps.census_full(10, jobs=2)

@@ -202,9 +202,9 @@ def reference_census_shard(n: int, second: int):
 
     Over second = 1..n-1 every undirected Hamiltonian cycle shows up
     once.  Returns the axial, circular, regular and other canonical
-    side sets and the number of cycles, like ``oracle._census_shard``
-    without its profiled count.  The screen keeps a cycle when its side
-    bytes match a nonzero shift of themselves or, with
+    side sets, the number of cycles and the number the screen keeps,
+    like ``oracle._census_shard``.  The screen keeps a cycle when its
+    side bytes match a nonzero shift of themselves or, with
     sum(sides) = n^2 / 2, a shift of their reversed complement.
     """
     step = tuple(tuple((q - p) % n for q in range(n)) for p in range(n))
@@ -215,6 +215,7 @@ def reference_census_shard(n: int, second: int):
     regular: set = set()
     other: set = set()
     count = 0
+    kept = 0
     pool = [v for v in range(1, n) if v != second]
     target_sum = n * n  # == 2 * sum(sides) when a reversing rotation exists
     for rest in permutations(pool):
@@ -235,6 +236,7 @@ def reference_census_shard(n: int, second: int):
             rc = bytes(n - x for x in reversed(sb))
             if (rc + rc).find(sb) < 0:
                 continue
+        kept += 1
         profile = side_symmetry(n, sides).profile
         rot, axes = profile.rotation_order, profile.axis_count
         key = canonical_sides(n, sides)
@@ -246,7 +248,7 @@ def reference_census_shard(n: int, second: int):
             circular.add(key)
         else:
             other.add(key)
-    return axial, circular, regular, other, count
+    return axial, circular, regular, other, count, kept
 
 
 def reference_class_record(m: int, family: str, generators: tuple[int, ...]) -> dict:
