@@ -650,56 +650,71 @@ def verify_census(report: OracleReport) -> dict:
     }
 
 
+def _coprime_flags(m: int) -> list[int]:
+    """cop[u] = 1 if gcd(u, m) == 1 else 0, for u = 0..m-1."""
+    return [1 if math.gcd(u, m) == 1 else 0 for u in range(m)]
+
+
 def _scan_axial_count(m: int) -> int:
-    """Axial class count by scanning every residue-1 pair (no formulas)."""
-    n = 3 * m
-    cop = [1 if math.gcd(u, m) == 1 else 0 for u in range(m)]
+    """Axial class count by counting every ordered residue-1 pair (no formulas).
+
+    With a = 1+3i and b = 1+3j, (a, b, a) closes when u = (2a+b)/3 =
+    1+2i+j is coprime to m.  For fixed i, u runs over m consecutive
+    integers as j does, so one prefix table of cop[u % m] gives each
+    row in one lookup, less the j = i term u = a.
+    """
+    cop = _coprime_flags(m)
+    upto = [0, *itertools.accumulate(cop[u % m] for u in range(3 * m))]
     count = 0
-    vals = range(1, n - 1, 3)
-    for a in vals:
-        for b in vals:
-            if b != a and cop[((2 * a + b) // 3) % m]:
-                count += 1
+    for i in range(m):
+        a = 1 + 3 * i
+        count += upto[2 * i + m + 1] - upto[2 * i + 1] - cop[a % m]
     return count
 
 
 def _scan_circular_count(m: int) -> int:
-    """Circular class count by scanning every residue-1 triple.
+    """Circular class count by counting every ordered residue-1 triple.
 
-    Ordered triples are counted with a coprimality table indexed by
-    a+b+c; for each pair (a, b) a stride-3 prefix sum of that table
-    counts every c in one lookup.  Every class is hit exactly three
+    With a, b, c = 1+3i, 1+3j, 1+3k, the triple closes when
+    s = (a+b+c)/3 = 1+i+j+k is coprime to m; ok[s] flags that and
+    upto[s] = ok[1] + ... + ok[s].  For a pair (i, j) the c with k != i, j
+    number upto[i+j+m] - upto[i+j] - ok[1+2i+j] - ok[1+i+2j].  Summed
+    over every j, the upto terms are range sums of upto, one lookup each
+    in its own prefix table upto2, and the ok[1+2i+j] terms are a range
+    sum of ok, one lookup in upto; over all pairs the ok[1+i+2j] terms
+    total the same (swap a and b).  Taking off the j = i term leaves O(1)
+    work per a after the O(m) tables.  Every class is hit exactly three
     times (its cyclic shifts).
     """
-    n = 3 * m
-    cop = [1 if math.gcd(u, m) == 1 else 0 for u in range(m)]
-    ok = bytearray(9 * m)  # index a+b+c, multiples of 3 only
-    for x in range(3, 9 * m, 3):
-        ok[x] = cop[(x // 3) % m]
-    # upto[x] = ok[x] + ok[x-3] + ok[x-6] + ...
-    upto = list(ok)
-    for x in range(3, 9 * m):
-        upto[x] += upto[x - 3]
-    vals = range(1, n - 1, 3)
+    cop = _coprime_flags(m)
+    ok = [0, *(cop[s % m] for s in range(1, 3 * m))]
+    upto = list(itertools.accumulate(ok))
+    # upto2[s] = upto[0] + ... + upto[s-1]
+    upto2 = [0, *itertools.accumulate(upto)]
     raw = 0
-    for a in vals:
-        for b in vals:
-            if b == a:
-                continue
-            ab = a + b
-            # c = 1, 4, ..., n - 2, less c = a and c = b
-            raw += upto[ab + n - 2] - upto[ab - 2] - ok[ab + a] - ok[ab + b]
+    for i in range(m):
+        # over every j: the c in range, and the c = a
+        in_range = upto2[i + 2 * m] - 2 * upto2[i + m] + upto2[i]
+        c_is_a = upto[2 * i + m] - upto[2 * i]
+        # c = b totals the same as c = a; the j = i term is
+        # upto[2i+m] - upto[2i] - 2 ok[1+3i]
+        raw += in_range - 2 * c_is_a - (c_is_a - 2 * ok[1 + 3 * i])
     if raw % 3:
-        raise AssertionError(f"raw circular triple count not divisible by 3 at m={m}")
+        raise VerificationError(
+            f"identity scan at m={m}: ordered circular triple count {raw} "
+            "is not a multiple of 3"
+        )
     return raw // 3
 
 
 def verify_identity(m: int) -> dict:
     """Check m^2 phi(m) = 3|Q| + 3|P| + phi(3m)/2 with scanned |P|, |Q|.
 
-    The right side uses enumerated cardinalities, not the closed count
-    formulas.  Returns the ``verify`` record; raises VerificationError on
-    mismatch.
+    The right side counts the ordered residue-1 generator pairs and
+    triples through a coprimality table (``_scan_axial_count``,
+    ``_scan_circular_count``, O(m) each), not the closed count formulas.
+    Returns the ``verify`` record; raises VerificationError on mismatch
+    or when the triple count breaks its divisibility by 3.
     """
     _require_family_m(m)
     lhs = m * m * euler_phi(m)

@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 
 from .classification import generators, side_period
-from .polygon_core import SideTuple, side_symmetry, validate_walk
+from .polygon_core import SideTuple, block_symmetry, side_symmetry, validate_walk
 
 
 @dataclass(frozen=True)
@@ -80,12 +80,24 @@ def _frame(n: int, opts: RenderOptions) -> tuple[list[str], ...]:
     return starts, ends, fixed, axis_lines
 
 
+def _block(t: SideTuple) -> tuple[int, int, int] | None:
+    """The 3-block that t's sides repeat, as every family cell's do, or None."""
+    block = t.sides[:3]
+    return block if t.sides == block * (t.n // 3) else None
+
+
 def _cell_elements(t: SideTuple, frame: tuple[list[str], ...]) -> list[str]:
     """Drawing elements of one polygon, in local cell coordinates;
     ``frame`` is ``_frame(t.n, opts)``."""
     starts, ends, fixed, axis_lines = frame
     verts = validate_walk(t).vertices
-    axes = side_symmetry(t.n, t.sides).axes if axis_lines else ()
+    axes: tuple[int, ...] = ()
+    if axis_lines:
+        block = _block(t)
+        if block is not None:
+            axes = block_symmetry(t.n, block).axes
+        else:
+            axes = side_symmetry(t.n, t.sides).axes
     parts = [axis_lines[a] for a in axes]
     parts += [starts[v] + ends[w] for v, w in zip(verts, verts[1:] + verts[:1])]
     parts += fixed
@@ -100,7 +112,12 @@ def caption_for(t: SideTuple) -> str:
     >>> caption_for(SideTuple(9, (4, 7, 4) * 3))
     'a=4;b=7'
     """
-    gens = generators(t.sides, side_period(t))
+    block = _block(t)
+    if block is not None:
+        period = 1 if block[0] == block[1] == block[2] else 3
+    else:
+        period = side_period(t)
+    gens = generators(t.sides, period)
     if gens is None:
         return "sides=" + ",".join(str(e) for e in t.sides)
     return ";".join(f"{name}={g}" for name, g in zip("abc", gens))

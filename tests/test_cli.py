@@ -5,6 +5,7 @@ import multiprocessing
 import multiprocessing.pool
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -463,6 +464,17 @@ class TestVerifyFailures:
         monkeypatch.setattr(oracle, "_scan_axial_count", lambda m: real(m) + 1)
         self.assert_fails(
             ["--mode", "identity", "--m", "3..3"], "identity fails at m=3: 18 != 21", capfd
+        )
+
+    def test_identity_scan_invariant(self, capfd, monkeypatch):
+        # Any whole-number table counts each unordered triple six times, so
+        # only a fractional flag can break the divisibility by 3: with every
+        # flag 1/3 the one unordered triple at m=3 counts 6 * 1/3 = 2.
+        monkeypatch.setattr(oracle, "_coprime_flags", lambda m: [Fraction(1, 3)] * m)
+        self.assert_fails(
+            ["--mode", "identity", "--m", "3..3"],
+            "identity scan at m=3: ordered circular triple count 2 is not a multiple of 3",
+            capfd,
         )
 
     def test_gcd(self, capfd, monkeypatch):

@@ -31,7 +31,9 @@ from polysym.oracle import (
 )
 from polysym.polygon_core import canonical_sides, side_symmetry
 from walks import (
+    reference_axial_count,
     reference_census_shard,
+    reference_circular_count,
     reference_sweep,
     reference_theorem_blocks,
     slice_canonical,
@@ -419,9 +421,14 @@ def slice_scan_circular_count(m):
 
 class TestScanCounts:
     def test_match_enumeration_cardinalities(self):
-        for m in range(3, 31):
-            assert _scan_axial_count(m) == ps.count_axial(m)
-            assert _scan_circular_count(m) == ps.count_circular(m)
+        for m in range(3, 101):
+            assert _scan_axial_count(m) == ps.count_axial(m), m
+            assert _scan_circular_count(m) == ps.count_circular(m), m
+
+    def test_match_literal_pair_and_triple_counts(self):
+        for m in range(3, 26):
+            assert _scan_axial_count(m) == reference_axial_count(m), m
+            assert _scan_circular_count(m) == reference_circular_count(m), m
 
     def test_prefix_scan_matches_slice_scan(self):
         for m in range(3, 61):

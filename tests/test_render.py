@@ -1,3 +1,4 @@
+import itertools
 import random
 import re
 import xml.etree.ElementTree as ET
@@ -6,6 +7,7 @@ import pytest
 
 import polysym as ps
 from polysym import RenderOptions, SideTuple, render
+from polysym.classification import generators, side_period
 from polysym.cli import main
 from walks import (
     family_walk,
@@ -111,6 +113,19 @@ class TestCaptionFor:
 
     def test_regular(self):
         assert ps.caption_for(STAR9) == "a=2"
+
+    def test_block_period_matches_side_period(self):
+        # every 3-block repeated, against the caption from the side period
+        for n in (3, 6, 9, 12):
+            for block in itertools.product(range(1, n), repeat=3):
+                t = SideTuple(n, block * (n // 3))
+                gens = generators(t.sides, side_period(t))
+                expected = (
+                    ";".join(f"{name}={g}" for name, g in zip("abc", gens))
+                    if gens is not None
+                    else "sides=" + ",".join(str(e) for e in t.sides)
+                )
+                assert ps.caption_for(t) == expected, t
 
     def test_generic_fallback(self):
         assert ps.caption_for(SideTuple(6, (1, 2, 1, 4, 3, 1))) == "sides=1,2,1,4,3,1"

@@ -1,8 +1,9 @@
 """Side tuples of walks with a prescribed symmetry, drawn from a seeded RNG,
 per-triple reference versions of the oracle's walk check and sweep, a
 block-kernel reference for its theorem class sets, a per-permutation
-reference version of its census shard, and per-record and
-per-cell reference versions of the ``enumerate`` and ``render`` output.
+reference version of its census shard, per-pair and per-triple reference
+versions of its identity counts, and per-record and per-cell reference
+versions of the ``enumerate`` and ``render`` output.
 
 Shared by the golden-output, kernel, oracle, CLI and render tests.  Every
 generator returns the sides of a valid walk on n vertices as a list.
@@ -249,6 +250,30 @@ def reference_census_shard(n: int, second: int):
         else:
             other.add(key)
     return axial, circular, regular, other, count, kept
+
+
+def reference_axial_count(m: int) -> int:
+    """Axial classes by testing every ordered pair of distinct residue-1
+    generators (a, b): (a, b, a) * m closes iff gcd((2a+b)/3, m) = 1."""
+    vals = range(1, 3 * m - 1, 3)
+    return sum(
+        1 for a in vals for b in vals if b != a and math.gcd((2 * a + b) // 3, m) == 1
+    )
+
+
+def reference_circular_count(m: int) -> int:
+    """Circular classes by testing every ordered triple of distinct
+    residue-1 generators: (a, b, c) * m closes iff gcd((a+b+c)/3, m) = 1,
+    and each class is one of its three cyclic shifts."""
+    vals = range(1, 3 * m - 1, 3)
+    ordered = sum(
+        1
+        for a in vals
+        for b in vals
+        for c in vals
+        if len({a, b, c}) == 3 and math.gcd((a + b + c) // 3, m) == 1
+    )
+    return ordered // 3
 
 
 def reference_class_record(m: int, family: str, generators: tuple[int, ...]) -> dict:
