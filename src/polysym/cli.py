@@ -8,6 +8,7 @@ byte-identical stdout and files.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 
@@ -159,33 +160,21 @@ _VERIFY_LINES = {
 }
 
 
-def _verify_records(args, pool) -> list[dict]:
-    """The oracle's record for each m (and family) of the range, or for n."""
+def _verify_records(args) -> list[dict]:
+    """The oracle's record for each m (and family) of the range, or for n.
+
+    A sweep that fails mid-range closes its reports, which shuts down the
+    pool sweeping the rest of the range."""
     if args.mode == "census":
-        return [oracle.verify_census(oracle.census_full(args.n, jobs=args.jobs, pool=pool))]
+        return [oracle.verify_census(oracle.census_full(args.n, jobs=args.jobs))]
     ms = range(args.m[0], args.m[1] + 1)
     if args.mode == "sweep":
-        return [
-            oracle.verify_sweep(report)
-            for report in oracle.sweep_reports(ms, jobs=args.jobs, pool=pool)
-        ]
+        with contextlib.closing(oracle.sweep_reports(ms, jobs=args.jobs)) as reports:
+            return [oracle.verify_sweep(report) for report in reports]
     if args.mode == "identity":
         return [oracle.verify_identity(m) for m in ms]
     families = ("axial", "circular") if args.family == "both" else (args.family,)
     return [oracle.verify_theorem_gcd(m, fam) for m in ms for fam in families]
-
-
-def _verify_pool(args):
-    """The one worker pool a verify command shares across its searches
-    (None when it runs serially): as many workers as the widest search
-    can use, within ``--jobs`` and the usable CPUs."""
-    if args.mode == "census":
-        shards = len(oracle.census_tasks(args.n))
-    elif args.mode == "sweep":
-        shards = len(oracle.sweep_tasks(args.m[1], args.jobs))
-    else:
-        shards = 1
-    return oracle.worker_pool(args.jobs, shards)
 
 
 def cmd_verify(args) -> int:
@@ -205,8 +194,7 @@ def cmd_verify(args) -> int:
         if m_from <= 2 or m_to < m_from:
             return _fail_usage(f"need 2 < m_from <= m_to, got {m_from}..{m_to}")
     try:
-        with _verify_pool(args) as pool:
-            results = _verify_records(args, pool)
+        results = _verify_records(args)
     except oracle.VerificationError as exc:
         return _fail_check(str(exc))
     line = _VERIFY_LINES[args.mode]

@@ -15,8 +15,11 @@ and ``verify_census`` compare a finished report with the closed formulas,
 the theorem enumerators and each other, and return the record that
 ``polysym verify`` prints.  Work is split into deterministic shards;
 shard results merge by plain set union, so reports do not depend on the
-worker count.  ``sweep_reports`` streams the shards of a whole range of
-m to the workers at once and yields each m's report as it completes.
+worker count.  ``_run_shards`` is the one place that starts worker
+processes: each search opens a pool of its own and closes it when its
+last shard result is taken.  ``sweep_reports`` streams the shards of a
+whole range of m to the workers at once and yields each m's report as it
+completes.
 """
 
 from __future__ import annotations
@@ -82,9 +85,11 @@ class OracleReport:
     Hamiltonian cycles for the census.  ``other_count`` is the number
     of rotation classes that carry some nontrivial rotation symmetry yet
     fall in no family (for example a cycle whose sides repeat with
-    period 2).  The census profiles each class with ``side_symmetry``,
-    whose ``SymmetryProfile`` rejects mirror axes without an equal number
-    of rotations, so near-miss family members cannot pass unnoticed.
+    period 2); it is 0 for the sweep, whose blocks have no such class by
+    the lemma in ``block_symmetry``.  The census profiles each class with
+    ``side_symmetry``, whose ``SymmetryProfile`` rejects mirror axes
+    without an equal number of rotations, so near-miss family members
+    cannot pass unnoticed.
     ``stats`` holds stage counters: for the census ``cycles``,
     ``screened_out`` and ``profiled``; empty for the sweep.
     ``elapsed`` is the wall time spent collecting the search's shard
@@ -143,29 +148,20 @@ def pool_size(jobs: int, shards: int) -> int:
     return min(jobs, shards, _usable_cpus())
 
 
-@contextlib.contextmanager
-def worker_pool(jobs: int, shards: int):
-    """A process pool of ``pool_size(jobs, shards)`` workers, or None when
-    that size is 1.  One pool can serve many searches in a row."""
-    size = pool_size(jobs, shards)
-    if size == 1:
-        yield None
-        return
-    with multiprocessing.Pool(size) as pool:
-        yield pool
-
-
-def _run_shards(shard, tasks: list[tuple], jobs: int, pool) -> Iterator:
+def _run_shards(shard, tasks: list[tuple], jobs: int) -> Iterator:
     """``shard(task)`` for every task, yielded in order as each arrives.
 
-    The tasks go to ``pool`` (from ``worker_pool``), or to a pool of our
-    own sized by ``jobs``, in one ordered ``imap``; run serially, each is
-    computed in this process when asked for.  A pool of our own lives
-    until the last result is taken or the generator is closed."""
-    with contextlib.ExitStack() as stack:
-        if pool is None:
-            pool = stack.enter_context(worker_pool(jobs, len(tasks)))
-        yield from map(shard, tasks) if pool is None else pool.imap(shard, tasks)
+    The only code that starts worker processes.  With one worker
+    (``pool_size(jobs, len(tasks))``) each task is computed in this process
+    when asked for; otherwise a pool of that size gets every task in one
+    ordered ``imap`` and lives until the last result is taken or the
+    generator is closed."""
+    size = pool_size(jobs, len(tasks))
+    if size <= 1:
+        yield from map(shard, tasks)
+        return
+    with multiprocessing.Pool(size) as pool:
+        yield from pool.imap(shard, tasks)
 
 
 # ---------------------------------------------------------------------------
@@ -224,8 +220,9 @@ def sweep_tasks(m: int, jobs: int) -> list[tuple[int, int, int]]:
 def _sweep_shard(task: tuple[int, int, int]):
     """Scan the orbit-least candidates (a, b, c) of the shard ``task`` =
     (m, first, step), those with a = first, first + step, ...; returns the
-    canonical 3-blocks of the axial, circular, regular and other classes
-    found, as four lists.  Each candidate is scanned once, so no list
+    canonical 3-blocks of the axial, circular and regular classes found,
+    as three lists (by the lemma in ``block_symmetry``, no valid block
+    falls in no family).  Each candidate is scanned once, so no list
     repeats a block.  A list unpickles into one buffer, so shard results
     waiting in the parent for their merge stay small.
 
@@ -245,7 +242,6 @@ def _sweep_shard(task: tuple[int, int, int]):
     axial: list = []
     circular: list = []
     regular: list = []
-    other: list = []
     for a in range(first, n // 2 + 1, step):
         top = n - a
         for b in range(a, top + 1):
@@ -263,37 +259,33 @@ def _sweep_shard(task: tuple[int, int, int]):
                     continue
                 # block_symmetry's profile, read off directly: the reversal
                 # is a shift of a valid block exactly when two sides are equal
-                # (m axes; all three equal is the regular star), its
-                # complement never is, and its reversed complement (rotation
-                # order 2m) only with three distinct sides
+                # (m axes; all three equal is the regular star), and its
+                # complement and reversed complement never are
                 if a == b == c:
                     regular.append(t)
                 elif a == b or b == c or a == c:
                     axial.append(t)
-                elif t in rc:
-                    other.append(t)
                 else:
                     circular.append(t)
-    return axial, circular, regular, other
+    return axial, circular, regular
 
 
-def sweep_reports(ms: Iterable[int], jobs: int = 1, pool=None) -> Iterator[OracleReport]:
+def sweep_reports(ms: Iterable[int], jobs: int = 1) -> Iterator[OracleReport]:
     """``sweep_period3(m, jobs)`` for each m of ``ms``, yielded in order.
 
     Every shard of every m (``sweep_tasks(m, jobs)``) goes to the workers
-    in one ordered ``imap``, so they sweep the next m while the caller
-    checks the report of this one; with no pool they run lazily in this
-    process.  ``pool`` (from ``worker_pool``) runs them on existing
-    workers; without it, ``jobs`` > 1 opens a pool for the whole range,
-    which closing the returned iterator shuts down.  The reports do not
-    depend on either.  ``ms`` and ``jobs`` are checked here, before any
-    shard runs.
+    of one pool, sized by ``jobs``, in one ordered ``imap``, so they sweep
+    the next m while the caller checks the report of this one; with one
+    worker they run lazily in this process.  The pool opens with the
+    first report asked for and closes after the last one, or when the
+    returned iterator is closed.  The reports do not depend on ``jobs``.
+    ``ms`` and ``jobs`` are checked here, before any shard runs.
     """
     ms = list(ms)
     for m in ms:
         _require_family_m(m)
     tasks = [sweep_tasks(m, jobs) for m in ms]
-    parts = _run_shards(_sweep_shard, [t for shards in tasks for t in shards], jobs, pool)
+    parts = _run_shards(_sweep_shard, [t for shards in tasks for t in shards], jobs)
     return _sweep_stream(zip(ms, map(len, tasks)), parts)
 
 
@@ -315,34 +307,32 @@ def _sweep_report(m: int, parts) -> OracleReport:
     axial: set = set()
     circular: set = set()
     regular: set = set()
-    other: set = set()
-    for ax, ci, re, ot in parts:
+    for ax, ci, re in parts:
         axial.update(ax)
         circular.update(ci)
         regular.update(re)
-        other.update(ot)
     n = 3 * m
     return OracleReport(
         n=n,
         axial_blocks=frozenset(axial),
         circular_blocks=frozenset(circular),
         regular_blocks=frozenset(regular),
-        other_count=len(other),
+        other_count=0,
         census_size=(n - 1) ** 3,
         elapsed=time.perf_counter() - start,
     )
 
 
-def sweep_period3(m: int, jobs: int = 1, pool=None) -> OracleReport:
+def sweep_period3(m: int, jobs: int = 1) -> OracleReport:
     """Classify every valid 3-periodic walk on n = 3m vertices.
 
     The orbits of all (n-1)^3 generator triples are covered; no residue
     or gcd conditions are applied, so the result is independent of the
-    enumeration module.  ``pool`` (from ``worker_pool``) runs the shards
-    of ``sweep_tasks(m, jobs)`` on existing workers; the result does not
-    depend on either.  This is ``sweep_reports([m], jobs, pool)``.
+    enumeration module.  ``jobs`` sizes the pool that runs the shards of
+    ``sweep_tasks(m, jobs)``; the result does not depend on it.  This is
+    ``sweep_reports([m], jobs)``.
     """
-    (report,) = sweep_reports([m], jobs, pool)
+    (report,) = sweep_reports([m], jobs)
     return report
 
 
@@ -484,14 +474,15 @@ def _census_shard(task: tuple[int, int]):
     )
 
 
-def census_full(n: int, jobs: int = 1, pool=None) -> OracleReport:
+def census_full(n: int, jobs: int = 1) -> OracleReport:
     """Classify every Hamiltonian cycle on n vertices ((n-1)!/2 of them).
 
-    ``pool`` (from ``worker_pool``) runs the shards of ``census_tasks(n)``
-    on existing workers; the result does not depend on it or on ``jobs``.
-    The shards build only the cycles that can have a nontrivial rotation
-    and add every pruned subtree to ``census_size`` by its exact size, so
-    the (n-1)!/2 check still covers the whole search.  ``stats`` counts
+    ``jobs`` sizes the pool that runs the shards of ``census_tasks(n)``;
+    the pool closes once the last shard result is in, and the result does
+    not depend on ``jobs``.  The shards build only the cycles that can
+    have a nontrivial rotation and add every pruned subtree to
+    ``census_size`` by its exact size, so the (n-1)!/2 check still covers
+    the whole search.  ``stats`` counts
     the cycles, those pruned without being built (``screened_out``) and
     those profiled by the symmetry kernel.
     """
@@ -500,7 +491,7 @@ def census_full(n: int, jobs: int = 1, pool=None) -> OracleReport:
     if n > CENSUS_MAX_N:
         raise NTooLarge(n)
     start = time.perf_counter()
-    parts = _run_shards(_census_shard, census_tasks(n), jobs, pool)
+    parts = _run_shards(_census_shard, census_tasks(n), jobs)
     axial: set = set()
     circular: set = set()
     regular: set = set()

@@ -399,8 +399,10 @@ def block_symmetry(n: int, block: tuple[int, int, int]) -> BlockSymmetry:
     the block (a, b, c), and each matching shift class accounts for m
     group elements:
 
-    * rotations: the block itself, and the reversed complement when one
-      of its shifts equals the block;
+    * rotations: the block itself, never the reversed complement.  A
+      shift of (n-c, n-b, n-a) has the side sum 3n - (a + b + c), so
+      equal to the block it forces a + b + c = 3n/2, and the walk is back
+      at vertex 0 after two blocks, 6 < n steps for m >= 3;
     * mirrors: a shift of the complement equals the block only when
       a = b = c, the regular star; the reversal (c, b, a) shifted by
       q = 0, 1, 2 equals it exactly when a = c, a = b, b = c.  Its
@@ -415,9 +417,8 @@ def block_symmetry(n: int, block: tuple[int, int, int]) -> BlockSymmetry:
     if n % 3:
         raise ValueError(f"n={n} is not a multiple of 3")
     a, b, c = block
-    t = (a, b, c)
     rc = ((n - c, n - b, n - a), (n - b, n - a, n - c), (n - a, n - c, n - b))
-    least = min(t, (b, c, a), (c, a, b), *rc)
+    least = min((a, b, c), (b, c, a), (c, a, b), *rc)
     if a == b == c:
         return BlockSymmetry(least, _shared_profile(n, n), tuple(range(n)))
     m = n // 3
@@ -429,8 +430,7 @@ def block_symmetry(n: int, block: tuple[int, int, int]) -> BlockSymmetry:
         axes = tuple(range(a % 3, n, 3))
     else:
         axes = ()
-    rotations = 2 * m if t in rc else m
-    return BlockSymmetry(least, _shared_profile(rotations, len(axes)), axes)
+    return BlockSymmetry(least, _shared_profile(m, len(axes)), axes)
 
 
 def canonical_period3(n: int, block: tuple[int, int, int]) -> tuple[int, ...]:

@@ -1,6 +1,9 @@
+import multiprocessing
+
 import pytest
 
 import polysym as ps
+import polysym.oracle as oracle
 
 
 @pytest.fixture(scope="session")
@@ -13,3 +16,19 @@ def census12():
     # About 1 s on one core; shared by the classification, oracle and
     # acceptance tests.
     return ps.census_full(12)
+
+
+@pytest.fixture
+def opened_pools(monkeypatch):
+    """The size of every pool opened through ``multiprocessing.Pool``
+    during the test, in order, with two usable CPUs for ``oracle``."""
+    monkeypatch.setattr(oracle, "_usable_cpus", lambda: 2)
+    sizes = []
+    real = multiprocessing.Pool
+
+    def recording(processes=None, *args, **kwargs):
+        sizes.append(processes)
+        return real(processes, *args, **kwargs)
+
+    monkeypatch.setattr(multiprocessing, "Pool", recording)
+    return sizes

@@ -265,18 +265,12 @@ class TestVerify:
         assert out == ""
         assert err == f"error: --jobs must be at least 1, got {jobs}\n"
 
-    def test_one_pool_per_command(self, capfd, monkeypatch):
-        opened = []
-        real = oracle.worker_pool
-
-        def counting(jobs, shards):
-            opened.append((jobs, shards))
-            return real(jobs, shards)
-
-        monkeypatch.setattr(oracle, "worker_pool", counting)
+    def test_one_pool_per_command(self, capfd, opened_pools):
+        before = set(multiprocessing.active_children())
         rc, _, _ = run(["verify", "--mode", "sweep", "--m", "3..6", "--jobs", "2"], capfd)
         assert rc == 0
-        assert opened == [(2, 2)]  # the widest search, m = 6, has min(jobs, n // 2) shards
+        assert opened_pools == [2]  # one pool for the whole range
+        assert set(multiprocessing.active_children()) <= before
 
     @pytest.mark.parametrize(
         "argv",
@@ -297,19 +291,6 @@ class TestVerify:
         assert json.loads(out.splitlines()[-1])["ok"] is True
         assert built == []
 
-    def test_census_pool_is_sized_from_its_shards(self, capfd, monkeypatch):
-        opened = []
-        real = oracle.worker_pool
-
-        def counting(jobs, shards):
-            opened.append((jobs, shards))
-            return real(jobs, shards)
-
-        monkeypatch.setattr(oracle, "worker_pool", counting)
-        rc, _, _ = run(["verify", "--mode", "census", "--n", "8", "--jobs", "2"], capfd)
-        assert rc == 0
-        assert opened == [(2, 6)]  # second vertex 1..n-2
-
 
 def patch_report(monkeypatch, name, change):
     """Make ``oracle.<name>`` return ``change(report)`` for its own report."""
@@ -323,13 +304,23 @@ def patch_report(monkeypatch, name, change):
 
 def patch_sweep_reports(monkeypatch, change):
     """Make ``oracle.sweep_reports`` yield ``change(report)`` for each of its
-    own reports."""
+    own reports; closing the patched iterator closes the real one.  Returns
+    the list of patched iterators made, which keeps them alive, so only an
+    explicit close can shut their pools down."""
     real = oracle.sweep_reports
+    made = []
+
+    def changed(*args, **kwargs):
+        with contextlib.closing(real(*args, **kwargs)) as reports:
+            for report in reports:
+                yield change(report)
 
     def patched(*args, **kwargs):
-        return map(change, real(*args, **kwargs))
+        made.append(changed(*args, **kwargs))
+        return made[-1]
 
     monkeypatch.setattr(oracle, "sweep_reports", patched)
+    return made
 
 
 def drop_least(blocks):
@@ -365,20 +356,9 @@ class TestVerifyFailures:
             ["--mode", "sweep", "--m", "3..3"], "sweep m=3: axial class sets differ", capfd
         )
 
-    def test_sweep_failure_mid_range_tears_down_pool(self, capfd, monkeypatch):
+    def test_sweep_failure_mid_range_tears_down_pool(self, capfd, monkeypatch, opened_pools):
         # m = 4 fails after the shards of m = 5 went to the workers
-        monkeypatch.setattr(oracle, "_usable_cpus", lambda: 2)
-        pools = []
-        real_pool = oracle.worker_pool
-
-        @contextlib.contextmanager
-        def recording(jobs, shards):
-            with real_pool(jobs, shards) as pool:
-                pools.append(pool)
-                yield pool
-
-        monkeypatch.setattr(oracle, "worker_pool", recording)
-        patch_sweep_reports(
+        made = patch_sweep_reports(
             monkeypatch,
             lambda r: dataclasses.replace(r, axial_blocks=drop_least(r.axial_blocks))
             if r.n == 12
@@ -390,7 +370,7 @@ class TestVerifyFailures:
             "sweep m=4: axial count 5 != formula 6",
             capfd,
         )
-        assert len(pools) == 1 and pools[0] is not None
+        assert len(made) == 1 and opened_pools == [2]
         assert set(multiprocessing.active_children()) <= before
 
     def test_census_against_sweep(self, capfd, monkeypatch):

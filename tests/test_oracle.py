@@ -27,7 +27,6 @@ from polysym.oracle import (
     sweep_tasks,
     theorem_axial_blocks,
     theorem_circular_blocks,
-    worker_pool,
 )
 from polysym.polygon_core import canonical_sides, side_symmetry
 from walks import (
@@ -232,6 +231,13 @@ class TestCensus:
         assert again.regular_classes == census9.regular_classes
         assert again.other_count == census9.other_count
 
+    def test_census_opens_one_pool_and_closes_it(self, opened_pools):
+        before = set(multiprocessing.active_children())
+        r = ps.census_full(8, jobs=2)
+        assert census_results(r) == census_results(serial_census(8))
+        assert opened_pools == [2]
+        assert set(multiprocessing.active_children()) <= before
+
     def test_size_guards(self):
         with pytest.raises(NTooSmall):
             ps.census_full(2)
@@ -252,15 +258,34 @@ class TestSweep:
             assert r.other_count == 0
             assert r.census_size == (3 * m - 1) ** 3
 
+    def test_no_valid_block_matches_its_reversed_complement(self):
+        # block_symmetry's lemma: such a block has a + b + c = 3n/2 and the
+        # walk is back at vertex 0 after two blocks, short of n = 3m steps
+        checked = 0
+        for m in range(3, 41):
+            n = 3 * m
+            if n % 2:
+                continue
+            rows = _walk_rows(m)
+            full = (1 << n) - 1
+            for a in range(1, n):
+                for b in range(1, n):
+                    c = 3 * n // 2 - a - b
+                    if 0 < c < n:
+                        assert not _walk_ok(rows, full, a, b, c), (m, a, b, c)
+                        checked += 1
+        assert checked == 75601
+
     def test_agrees_with_census_on_the_nonagon(self, census9):
         r = ps.sweep_period3(3)
         assert r.axial_classes == census9.axial_classes
         assert r.circular_classes == census9.circular_classes
         assert r.regular_classes == census9.regular_classes
 
-    def test_jobs_do_not_change_results(self):
+    def test_jobs_do_not_change_results(self, monkeypatch):
         # jobs = 6 at m = 3 is above n // 2 = 4, the most first sides there
         # are to interleave; the shards run on at most two workers
+        monkeypatch.setattr(oracle, "_usable_cpus", lambda: 2)
         for m, jobs, shards in [(5, 4, 4), (3, 6, 4)]:
             tasks = sweep_tasks(m, jobs)
             assert len(tasks) == shards
@@ -268,8 +293,7 @@ class TestSweep:
             firsts = sorted(a for _, first, step in tasks for a in range(first, half + 1, step))
             assert firsts == list(range(1, half + 1))
             one = ps.sweep_period3(m)
-            with worker_pool(2, len(tasks)) as pool:
-                many = ps.sweep_period3(m, jobs=jobs, pool=pool)
+            many = ps.sweep_period3(m, jobs=jobs)
             assert one.axial_classes == many.axial_classes
             assert one.circular_classes == many.circular_classes
             assert one.regular_classes == many.regular_classes
@@ -283,21 +307,6 @@ class TestSweep:
         assert r.circular_classes == frozenset(circular)
         assert r.regular_classes == frozenset(regular)
         assert r.other_count == other_count
-
-    def test_shared_pool_matches_serial(self):
-        def found(r):
-            return (
-                r.axial_classes,
-                r.circular_classes,
-                r.regular_classes,
-                r.other_count,
-                r.census_size,
-            )
-
-        with multiprocessing.Pool(2) as pool:
-            for m in range(3, 7):
-                shared = ps.sweep_period3(m, jobs=2, pool=pool)
-                assert found(shared) == found(ps.sweep_period3(m)), m
 
     def test_rejects_m_too_small(self):
         with pytest.raises(MTooSmall):
@@ -317,16 +326,9 @@ class TestSweepReports:
     """One dispatch for a range of m: the same reports as one
     ``sweep_period3`` per m, whatever runs the shards."""
 
-    MS = range(3, 13)
-
-    def test_shared_pool_matches_serial_per_m(self):
-        serial = untimed(ps.sweep_period3(m) for m in self.MS)
-        with multiprocessing.Pool(2) as pool:
-            assert untimed(oracle.sweep_reports(self.MS, 2, pool)) == serial
-
     def test_own_pool_matches_serial_per_m(self, monkeypatch):
         monkeypatch.setattr(oracle, "_usable_cpus", lambda: 2)
-        ms = range(3, 7)
+        ms = range(3, 13)
         assert untimed(oracle.sweep_reports(ms, 2)) == untimed(map(ps.sweep_period3, ms))
 
     def test_serial_reports_are_lazy(self, monkeypatch):
