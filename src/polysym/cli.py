@@ -180,6 +180,9 @@ def _verify_records(args) -> list[dict]:
 def cmd_verify(args) -> int:
     if args.jobs < 1:
         return _fail_usage(f"--jobs must be at least 1, got {args.jobs}")
+    unread = "m" if args.mode == "census" else "n"
+    if getattr(args, unread) is not None:
+        return _fail_usage(f"--{unread} does not apply to --mode {args.mode}")
     if args.mode == "census":
         if args.n is None:
             return _fail_usage("verify --mode census needs --n")

@@ -16,10 +16,13 @@ the theorem enumerators and each other, and return the record that
 ``polysym verify`` prints.  Work is split into deterministic shards;
 shard results merge by plain set union, so reports do not depend on the
 worker count.  ``_run_shards`` is the one place that starts worker
-processes: each search opens a pool of its own and closes it when its
-last shard result is taken.  ``sweep_reports`` streams the shards of a
-whole range of m to the workers at once and yields each m's report as it
-completes.
+processes.  Each search estimates its serial work from its input (the
+census from n, the sweep from its list of m); when the workers would
+save less than a pool costs to start (``POOL_START_S``) the shards run
+in this process, and otherwise the search opens a pool of its own and
+closes it when its last shard result is taken.  ``sweep_reports``
+streams the shards of a whole range of m to the workers at once and
+yields each m's report as it completes.
 """
 
 from __future__ import annotations
@@ -140,23 +143,36 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def pool_size(jobs: int, shards: int) -> int:
-    """Worker processes for ``shards`` tasks: ``jobs``, capped by the shard
-    count and by the CPUs this process may run on.  1 means run serially."""
+# Seconds to open and close a pool of forked workers: about 10 ms on a
+# 2 vCPU Xeon with Python 3.11 (``spawn`` re-imports the package in every
+# worker and costs about 0.2 s).  A search whose workers would save less
+# runs in this process.
+POOL_START_S = 0.01
+
+
+def pool_size(jobs: int, shards: int, work: float) -> int:
+    """Worker processes for ``shards`` tasks that take about ``work``
+    seconds in one process: ``jobs``, capped by the shard count and by the
+    CPUs this process may run on, or 1 (run serially) when that many
+    workers would save less than their pool costs to start.  k workers
+    save at most ``work * (1 - 1/k)``; the pool costs ``POOL_START_S``."""
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
-    return min(jobs, shards, _usable_cpus())
+    size = min(jobs, shards, _usable_cpus())
+    return size if size > 1 and work * (1 - 1 / size) >= POOL_START_S else 1
 
 
-def _run_shards(shard, tasks: list[tuple], jobs: int) -> Iterator:
-    """``shard(task)`` for every task, yielded in order as each arrives.
+def _run_shards(shard, tasks: list[tuple], jobs: int, work: float) -> Iterator:
+    """``shard(task)`` for every task, yielded in order as each arrives;
+    ``work`` is the caller's estimate of the seconds the tasks take in one
+    process.
 
     The only code that starts worker processes.  With one worker
-    (``pool_size(jobs, len(tasks))``) each task is computed in this process
-    when asked for; otherwise a pool of that size gets every task in one
-    ordered ``imap`` and lives until the last result is taken or the
-    generator is closed."""
-    size = pool_size(jobs, len(tasks))
+    (``pool_size(jobs, len(tasks), work)``) each task is computed in this
+    process when asked for; otherwise a pool of that size gets every task
+    in one ordered ``imap`` and lives until the last result is taken or
+    the generator is closed."""
+    size = pool_size(jobs, len(tasks), work)
     if size <= 1:
         yield from map(shard, tasks)
         return
@@ -274,18 +290,23 @@ def sweep_reports(ms: Iterable[int], jobs: int = 1) -> Iterator[OracleReport]:
     """``sweep_period3(m, jobs)`` for each m of ``ms``, yielded in order.
 
     Every shard of every m (``sweep_tasks(m, jobs)``) goes to the workers
-    of one pool, sized by ``jobs``, in one ordered ``imap``, so they sweep
-    the next m while the caller checks the report of this one; with one
-    worker they run lazily in this process.  The pool opens with the
-    first report asked for and closes after the last one, or when the
-    returned iterator is closed.  The reports do not depend on ``jobs``.
-    ``ms`` and ``jobs`` are checked here, before any shard runs.
+    of one pool, sized by ``jobs`` and by the work of the whole range, in
+    one ordered ``imap``, so they sweep the next m while the caller checks
+    the report of this one; with one worker they run lazily in this
+    process.  The sweep at m walks about n^3 / 18 candidates (a <= n/2,
+    then b and every third c in [a, n - a]), each in about 0.2 us
+    (2 vCPU Xeon, m = 10..150), so m = 3..30 is about 65 ms of work and
+    gets a pool, and one m <= 40 runs serially.  The pool opens with
+    the first report asked for and closes after the last one, or when
+    the returned iterator is closed.  The reports do not depend on
+    ``jobs``.  ``ms`` and ``jobs`` are checked here, before any shard runs.
     """
     ms = list(ms)
     for m in ms:
         _require_family_m(m)
     tasks = [sweep_tasks(m, jobs) for m in ms]
-    parts = _run_shards(_sweep_shard, [t for shards in tasks for t in shards], jobs)
+    work = sum(0.2e-6 * (3 * m) ** 3 / 18 for m in ms)
+    parts = _run_shards(_sweep_shard, [t for shards in tasks for t in shards], jobs, work)
     return _sweep_stream(zip(ms, map(len, tasks)), parts)
 
 
@@ -329,7 +350,8 @@ def sweep_period3(m: int, jobs: int = 1) -> OracleReport:
     The orbits of all (n-1)^3 generator triples are covered; no residue
     or gcd conditions are applied, so the result is independent of the
     enumeration module.  ``jobs`` sizes the pool that runs the shards of
-    ``sweep_tasks(m, jobs)``; the result does not depend on it.  This is
+    ``sweep_tasks(m, jobs)``, unless the work is too small to pay for
+    one; the result does not depend on it.  This is
     ``sweep_reports([m], jobs)``.
     """
     (report,) = sweep_reports([m], jobs)
@@ -347,6 +369,38 @@ def census_tasks(n: int) -> list[tuple[int, int]]:
     with second < last, so second = n - 1 has no cycles and gets no shard.
     """
     return [(n, second) for second in range(1, n - 1)]
+
+
+def _max_periods(n: int) -> list[int]:
+    """n / q for each prime q dividing n: the maximal proper periods."""
+    return [
+        n // q for q in range(2, n + 1) if n % q == 0 and all(q % r for r in range(2, q))
+    ]
+
+
+def _rotatable_cycles(n: int) -> int:
+    """An upper bound on the cycles ``census_full(n)`` builds, those with a
+    nontrivial rotation (the shards count the rest by subtree size).
+
+    By the conditions in ``_census_shard`` it is the sum of
+    * for each maximal period d = n / q (q prime), the cycles with
+      d-periodic sides, (d-1)! q^(d-1) (q-1) / 2: v_1 .. v_{d-1} take the
+      residues 1 .. d-1 mod d in some order, each in q ways, D = v_d is any
+      of the q - 1 nonzero multiples of d, and each cycle is met in both
+      directions;
+    * for even n, the cycles the half-turn reverses, (n/2)! 2^(n/2) / 4:
+      each is a path through one vertex of every antipodal pair followed
+      by the antipodes of that path backwards, and is met from 4 paths.
+    Cycles with both kinds of rotation are counted twice, 6 of them at
+    n = 12.
+    """
+    cycles = sum(
+        math.factorial(d - 1) * (n // d) ** (d - 1) * (n // d - 1) // 2
+        for d in _max_periods(n)
+    )
+    if n % 2 == 0:
+        cycles += math.factorial(n // 2) * 2 ** (n // 2) // 4
+    return cycles
 
 
 _OPEN = -1  # no antipodal pair placed yet, so k is still free
@@ -400,9 +454,7 @@ def _census_shard(task: tuple[int, int]):
     """
     n, second = task
     h = n // 2
-    periods = [  # n / q for each prime q dividing n
-        n // q for q in range(2, n + 1) if n % q == 0 and all(q % r for r in range(2, q))
-    ]
+    periods = _max_periods(n)
     sizes = [math.factorial(k) for k in range(n)]
     verts = [0] * n  # v_0 .. v_{i-1} of the branch being searched
     at = [-1] * n  # the position of each placed vertex, -1 while free
@@ -482,7 +534,10 @@ def census_full(n: int, jobs: int = 1) -> OracleReport:
     not depend on ``jobs``.  The shards build only the cycles that can
     have a nontrivial rotation and add every pruned subtree to
     ``census_size`` by its exact size, so the (n-1)!/2 check still covers
-    the whole search.  ``stats`` counts
+    the whole search.  Each cycle built costs about 50 us (2 vCPU Xeon,
+    n = 8..12), so by ``_rotatable_cycles`` n = 10 is about 60 ms of work
+    and n = 12 about 0.7 s, and both get a pool of two; every other
+    n <= 11 takes under 8 ms and runs in this process.  ``stats`` counts
     the cycles, those pruned without being built (``screened_out``) and
     those profiled by the symmetry kernel.
     """
@@ -491,7 +546,8 @@ def census_full(n: int, jobs: int = 1) -> OracleReport:
     if n > CENSUS_MAX_N:
         raise NTooLarge(n)
     start = time.perf_counter()
-    parts = _run_shards(_census_shard, census_tasks(n), jobs)
+    work = 50e-6 * _rotatable_cycles(n)
+    parts = _run_shards(_census_shard, census_tasks(n), jobs, work)
     axial: set = set()
     circular: set = set()
     regular: set = set()

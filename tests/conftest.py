@@ -32,3 +32,10 @@ def opened_pools(monkeypatch):
 
     monkeypatch.setattr(multiprocessing, "Pool", recording)
     return sizes
+
+
+@pytest.fixture
+def always_pool(monkeypatch):
+    """Pools cost nothing to start, so a search given two jobs, two shards
+    and two usable CPUs opens one however small its work."""
+    monkeypatch.setattr(oracle, "POOL_START_S", 0)

@@ -232,7 +232,7 @@ class TestVerify:
         report = json.loads(out.splitlines()[-1])
         assert report["results"] == [{"m": 3, "family": "axial", "ok": True}]
 
-    def test_jobs_flag_does_not_change_output(self, capfd, monkeypatch):
+    def test_jobs_flag_does_not_change_output(self, capfd, monkeypatch, always_pool):
         # two usable CPUs: --jobs 3 deals three shards per m to two workers
         monkeypatch.setattr(oracle, "_usable_cpus", lambda: 2)
         rc1, out1, _ = run(["verify", "--mode", "sweep", "--m", "3..12"], capfd)
@@ -242,7 +242,7 @@ class TestVerify:
             )
             assert (rc1, out1) == (rc2, out2)
 
-    def test_sweep_range_is_one_dispatch(self, capfd, monkeypatch):
+    def test_sweep_range_is_one_dispatch(self, capfd, monkeypatch, always_pool):
         monkeypatch.setattr(oracle, "_usable_cpus", lambda: 2)
         calls = []
         for name in ("imap", "imap_unordered", "map", "starmap"):
@@ -265,12 +265,57 @@ class TestVerify:
         assert out == ""
         assert err == f"error: --jobs must be at least 1, got {jobs}\n"
 
-    def test_one_pool_per_command(self, capfd, opened_pools):
+    def test_one_pool_per_command(self, capfd, opened_pools, always_pool):
         before = set(multiprocessing.active_children())
         rc, _, _ = run(["verify", "--mode", "sweep", "--m", "3..6", "--jobs", "2"], capfd)
         assert rc == 0
         assert opened_pools == [2]  # one pool for the whole range
         assert set(multiprocessing.active_children()) <= before
+
+    @pytest.mark.parametrize(
+        ("argv", "pools"),
+        [
+            (["--mode", "census", "--n", "9"], []),
+            (["--mode", "census", "--n", "10"], [2]),
+            (["--mode", "census", "--n", "11"], []),
+            (["--mode", "sweep", "--m", "3..12"], []),
+            (["--mode", "sweep", "--m", "3..30"], [2]),
+        ],
+        ids=["census9", "census10", "census11", "sweep3-12", "sweep3-30"],
+    )
+    def test_pool_only_where_the_work_pays_for_it(self, argv, pools, capfd, opened_pools):
+        before = set(multiprocessing.active_children())
+        rc, _, _ = run(["verify", *argv, "--jobs", "2"], capfd)
+        assert rc == 0
+        assert opened_pools == pools
+        assert set(multiprocessing.active_children()) <= before
+
+    @pytest.mark.parametrize("forced", [False, True], ids=["default", "forced"])
+    @pytest.mark.parametrize(
+        "argv",
+        [*(["--mode", "census", "--n", str(n)] for n in range(3, 12)),
+         ["--mode", "sweep", "--m", "3..12"]],
+        ids=[*(f"census{n}" for n in range(3, 12)), "sweep3-12"],
+    )
+    def test_jobs_do_not_change_stdout(self, argv, forced, capfd, opened_pools, request):
+        # on either side of the cut-off; a census of n = 3 has one shard
+        if forced:
+            request.getfixturevalue("always_pool")
+        one = run(["verify", *argv, "--jobs", "1"], capfd)
+        assert opened_pools == []
+        two = run(["verify", *argv, "--jobs", "2"], capfd)
+        assert one == two and one[0] == 0
+        if forced and argv[-1] != "3":
+            assert opened_pools == [2]
+
+    def test_census_rejects_m(self, capfd):
+        rc, out, err = run(["verify", "--mode", "census", "--n", "6", "--m", "3..4"], capfd)
+        assert (rc, out, err) == (2, "", "error: --m does not apply to --mode census\n")
+
+    @pytest.mark.parametrize("mode", ["sweep", "gcd", "identity"])
+    def test_m_modes_reject_n(self, capfd, mode):
+        rc, out, err = run(["verify", "--mode", mode, "--m", "3..4", "--n", "6"], capfd)
+        assert (rc, out, err) == (2, "", f"error: --n does not apply to --mode {mode}\n")
 
     @pytest.mark.parametrize(
         "argv",
@@ -356,7 +401,9 @@ class TestVerifyFailures:
             ["--mode", "sweep", "--m", "3..3"], "sweep m=3: axial class sets differ", capfd
         )
 
-    def test_sweep_failure_mid_range_tears_down_pool(self, capfd, monkeypatch, opened_pools):
+    def test_sweep_failure_mid_range_tears_down_pool(
+        self, capfd, monkeypatch, opened_pools, always_pool
+    ):
         # m = 4 fails after the shards of m = 5 went to the workers
         made = patch_sweep_reports(
             monkeypatch,

@@ -170,10 +170,19 @@ class TestCensusKernel:
         assert orbits == profiled
         assert (math.factorial(n - 1) // 2 - profiled) % n == 0
 
-    def test_jobs_do_not_change_results(self):
+    def test_jobs_do_not_change_results(self, always_pool):
         two = ps.census_full(10, jobs=2)
         assert census_results(two) == census_results(serial_census(10))
         assert two.stats == serial_census(10).stats
+
+    @pytest.mark.parametrize("n", range(3, 12))
+    def test_rotatable_cycles_bound_the_cycles_built(self, n):
+        # the two kinds of rotation overlap in at most 6 cycles at n <= 12
+        profiled = serial_census(n).stats["profiled"]
+        assert profiled <= oracle._rotatable_cycles(n) <= profiled + 6
+
+    def test_rotatable_cycles_bound_the_dodecagon(self, census12):
+        assert oracle._rotatable_cycles(12) == census12.stats["profiled"] + 6
 
     @pytest.mark.parametrize("n", range(3, 9))
     def test_tasks_leave_out_only_an_empty_shard(self, n):
@@ -224,18 +233,27 @@ class TestCensus:
             ps.validate_walk(t)
             assert ps.canonical_form(t) == t
 
-    def test_jobs_do_not_change_results(self, census9):
+    def test_jobs_do_not_change_results(self, census9, always_pool):
         again = ps.census_full(9, jobs=2)
         assert again.axial_classes == census9.axial_classes
         assert again.circular_classes == census9.circular_classes
         assert again.regular_classes == census9.regular_classes
         assert again.other_count == census9.other_count
 
-    def test_census_opens_one_pool_and_closes_it(self, opened_pools):
+    def test_census_opens_one_pool_and_closes_it(self, opened_pools, always_pool):
         before = set(multiprocessing.active_children())
         r = ps.census_full(8, jobs=2)
         assert census_results(r) == census_results(serial_census(8))
         assert opened_pools == [2]
+        assert set(multiprocessing.active_children()) <= before
+
+    def test_dodecagon_pays_for_its_pool(self, opened_pools, census12):
+        # about 0.7 s of serial work: the default cut-off keeps the pool
+        before = set(multiprocessing.active_children())
+        r = ps.census_full(12, jobs=2)
+        assert opened_pools == [2]
+        assert census_results(r) == census_results(census12)
+        assert r.stats == census12.stats
         assert set(multiprocessing.active_children()) <= before
 
     def test_size_guards(self):
@@ -282,7 +300,7 @@ class TestSweep:
         assert r.circular_classes == census9.circular_classes
         assert r.regular_classes == census9.regular_classes
 
-    def test_jobs_do_not_change_results(self, monkeypatch):
+    def test_jobs_do_not_change_results(self, monkeypatch, always_pool):
         # jobs = 6 at m = 3 is above n // 2 = 4, the most first sides there
         # are to interleave; the shards run on at most two workers
         monkeypatch.setattr(oracle, "_usable_cpus", lambda: 2)
@@ -326,7 +344,7 @@ class TestSweepReports:
     """One dispatch for a range of m: the same reports as one
     ``sweep_period3`` per m, whatever runs the shards."""
 
-    def test_own_pool_matches_serial_per_m(self, monkeypatch):
+    def test_own_pool_matches_serial_per_m(self, monkeypatch, always_pool):
         monkeypatch.setattr(oracle, "_usable_cpus", lambda: 2)
         ms = range(3, 13)
         assert untimed(oracle.sweep_reports(ms, 2)) == untimed(map(ps.sweep_period3, ms))
@@ -358,7 +376,7 @@ class TestSweepReports:
         with pytest.raises(ValueError, match="jobs"):
             oracle.sweep_reports([3], 0)
 
-    def test_closing_shuts_own_pool_down(self, monkeypatch):
+    def test_closing_shuts_own_pool_down(self, monkeypatch, always_pool):
         monkeypatch.setattr(oracle, "_usable_cpus", lambda: 2)
         before = set(multiprocessing.active_children())
         reports = oracle.sweep_reports(range(3, 9), 2)
@@ -483,21 +501,44 @@ class TestGcdTheorem:
 class TestPoolSize:
     """The pool size is computed, never tried: no test starts a big pool."""
 
+    BIG = 10.0  # seconds of serial work, far above what a pool costs
+
     def test_capped_by_jobs_shards_and_cpus(self):
         cpus = len(os.sched_getaffinity(0))
-        assert pool_size(1, 100) == 1
-        assert pool_size(3, 2) == min(2, cpus)
-        assert pool_size(10**6, 10**6) == cpus
-        assert pool_size(2, 89) == min(2, cpus)
+        assert pool_size(1, 100, self.BIG) == 1
+        assert pool_size(3, 2, self.BIG) == min(2, cpus)
+        assert pool_size(10**6, 10**6, self.BIG) == cpus
+        assert pool_size(2, 89, self.BIG) == min(2, cpus)
+        assert pool_size(2, 1, self.BIG) == 1
+        assert pool_size(2, 0, self.BIG) == 1
+
+    def test_serial_below_what_the_workers_save(self, monkeypatch):
+        # k workers save at most work * (1 - 1/k), which must cover the
+        # cost of starting their pool
+        monkeypatch.setattr(oracle, "_usable_cpus", lambda: 4)
+        cost = oracle.POOL_START_S
+        assert pool_size(2, 8, 2 * cost) == 2
+        assert pool_size(2, 8, 1.99 * cost) == 1
+        assert pool_size(2, 8, 0.0) == 1
+        assert pool_size(4, 8, 1.5 * cost) == 4
+        assert pool_size(4, 8, 1.3 * cost) == 1
+        # the caps apply first: three shards or three jobs save only 2/3
+        assert pool_size(4, 3, 1.3 * cost) == 1
+        assert pool_size(4, 3, 1.6 * cost) == 3
+        assert pool_size(3, 8, 1.6 * cost) == 3
+        assert pool_size(10**6, 10**6, 1.6 * cost) == 4
 
     def test_cpu_count_without_affinity_call(self, monkeypatch):
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-        assert pool_size(10**6, 10**6) == (os.cpu_count() or 1)
+        assert pool_size(10**6, 10**6, self.BIG) == (os.cpu_count() or 1)
 
     @pytest.mark.parametrize("jobs", [0, -1])
     def test_rejects_jobs_below_one(self, jobs):
+        # before the work is looked at: no work would run serially anyway
         with pytest.raises(ValueError, match="jobs must be at least 1"):
-            pool_size(jobs, 8)
+            pool_size(jobs, 8, 0.0)
+        with pytest.raises(ValueError, match="jobs must be at least 1"):
+            pool_size(jobs, 8, self.BIG)
         with pytest.raises(ValueError):
             ps.sweep_period3(3, jobs=jobs)
         with pytest.raises(ValueError):
