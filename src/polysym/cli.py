@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import sys
 
@@ -19,7 +20,6 @@ from .polygon_core import (
     SideTuple,
     WalkError,
     block_symmetry,
-    canonical_sides,
     side_symmetry,
     validate_walk,
 )
@@ -139,7 +139,7 @@ def cmd_classify(args) -> int:
                 "m": family.m,
                 "family": family.tag.value,
                 "generators": list(gens) if gens is not None else None,
-                "sides": list(canonical_sides(t.n, t.sides)),
+                "sides": list(sym.block * (t.n // sym.period)),
                 "u": sum(t.sides) // t.n,
                 "rotation_order": profile.rotation_order,
                 "axis_count": profile.axis_count,
@@ -173,7 +173,8 @@ def _verify_records(args) -> list[dict]:
             return [oracle.verify_sweep(report) for report in reports]
     if args.mode == "identity":
         return [oracle.verify_identity(m) for m in ms]
-    families = ("axial", "circular") if args.family == "both" else (args.family,)
+    family = args.family or "both"
+    families = ("axial", "circular") if family == "both" else (family,)
     return [oracle.verify_theorem_gcd(m, fam) for m in ms for fam in families]
 
 
@@ -183,6 +184,8 @@ def cmd_verify(args) -> int:
     unread = "m" if args.mode == "census" else "n"
     if getattr(args, unread) is not None:
         return _fail_usage(f"--{unread} does not apply to --mode {args.mode}")
+    if args.family is not None and args.mode != "gcd":
+        return _fail_usage(f"--family does not apply to --mode {args.mode}")
     if args.mode == "census":
         if args.n is None:
             return _fail_usage("verify --mode census needs --n")
@@ -268,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("sweep", "census", "identity", "gcd"), required=True)
     p.add_argument("--m", type=_parse_m_range, metavar="A..B")
     p.add_argument("--n", type=int)
-    p.add_argument("--family", choices=("axial", "circular", "both"), default="both")
+    p.add_argument("--family", choices=("axial", "circular", "both"))
     p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=cmd_verify)
 
@@ -286,10 +289,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on first use and shared by every later ``main``
+    call in the process: ``parse_args`` returns a fresh namespace each
+    time and keeps no state in the parser."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else USAGE_ERROR
     try:

@@ -48,7 +48,6 @@ from .enumeration import (
 )
 from .polygon_core import (
     SideTuple,
-    canonical_sides,
     least_period,
     side_symmetry,
 )
@@ -493,8 +492,9 @@ def _census_shard(task: tuple[int, int]):
             count += 1
             profiled += 1
             sides = [(b - a) % n for a, b in zip(verts, verts[1:] + [0])]
-            tag = family_of(n, side_symmetry(n, sides).profile).tag
-            found[tag].add(canonical_sides(n, sides))
+            sym = side_symmetry(n, sides)
+            tag = family_of(n, sym.profile).tag
+            found[tag].add(sym.block * (n // sym.period))
             return
         r = len(rest)
         for v in rest:

@@ -320,55 +320,83 @@ def least_rotation(seq: Sequence[int]) -> int:
     return k
 
 
+def _least_image(n: int, block: tuple[int, ...]) -> tuple[int, ...]:
+    """The least cyclic shift of block or of its reversed complement (Booth)."""
+    rc = tuple(n - e for e in reversed(block))
+    k, j = least_rotation(block), least_rotation(rc)
+    return min(block[k:] + block[:k], rc[j:] + rc[:j])
+
+
 def canonical_sides(n: int, sides: Sequence[int]) -> tuple[int, ...]:
-    """canonical_form of a valid walk's sides, without re-validating it."""
-    sides = tuple(sides)
-    rc = tuple(n - e for e in reversed(sides))
-    k, j = least_rotation(sides), least_rotation(rc)
-    return min(sides[k:] + sides[:k], rc[j:] + rc[:j])
+    """canonical_form of a valid walk's sides, without re-validating it.
+
+    With least period p the sides are block * (n // p), and so are their
+    reversed complement and every cyclic shift of either, each with its
+    own image of the block.  So the least of the 2n candidates is the
+    least image of the block, repeated: Booth runs on p sides, not n.
+    """
+    p = least_period(sides)
+    return _least_image(n, tuple(sides[:p])) * (n // p)
 
 
 @dataclass(frozen=True)
 class SideSymmetry:
-    """Symmetries of a valid polygon, read off its side sequence.
+    """Symmetries and canonical period block of a valid polygon, read off
+    its side sequence.
 
     ``axes`` lists, ascending, every a in 0..n-1 whose mirror
-    v -> (a - v) mod n fixes the chord set; ``period`` is the least
-    period of the sides.
+    v -> (a - v) mod n fixes the chord set.  ``block`` is the least image
+    of the sides' least period, so its length is the ``period`` and the
+    canonical form's sides are ``block * (n // period)``.
     """
 
     profile: SymmetryProfile
     axes: tuple[int, ...]
-    period: int
+    block: tuple[int, ...]
+
+    @property
+    def period(self) -> int:
+        """The least period of the sides."""
+        return len(self.block)
 
 
 def side_symmetry(n: int, sides: Sequence[int]) -> SideSymmetry:
-    """Rotations, mirror axes and side period of a valid polygon in O(n).
+    """Rotations, mirror axes, side period and canonical block of a valid
+    polygon in O(n).
 
-    One failure function gives the least period p; three KMP searches of
-    the sides in the doubled reversed complement, complement and
-    reversal find the first matching shift of each, and the rest follow
-    at steps of p.  The caller must pass the sides of a *valid* walk.
+    One failure function gives the least period p.  The sides are then
+    block * (n // p), and so are their reversed complement, complement
+    and reversal, each with its own image of the block; a shift q matches
+    the whole sequence exactly when q mod p matches the block, so three
+    KMP searches of the block in the doubled images of the block find the
+    first matching shift of each, and the rest follow at steps of p.
+    ``fail[:p]`` is the block's own failure function.  The caller must
+    pass the sides of a *valid* walk.
     """
     fail = _failure(sides)
     p = _cyclic_period(fail)
     reps = n // p
-    rev = sides[::-1]
+    block = tuple(sides[:p])
+    fail = fail[:p]
+    rev = block[::-1]
     rc = [n - e for e in rev]
-    rotations = reps * (2 if _first_shift(sides, fail, rc) >= 0 else 1)
+    rotations = reps * (2 if _first_shift(block, fail, rc) >= 0 else 1)
     # start j of each mirror-matching shift; its axis is a = v_j
     starts = []
-    q = _first_shift(sides, fail, [n - e for e in sides])
+    q = _first_shift(block, fail, [n - e for e in block])
     if q >= 0:
         starts += [q + r * p for r in range(reps)]
-    q = _first_shift(sides, fail, rev)
+    q = _first_shift(block, fail, rev)
     if q >= 0:
         starts += [(n - q - r * p) % n for r in range(reps)]
     axes: tuple[int, ...] = ()
     if starts:
-        verts = [0, *itertools.accumulate(sides)]
-        axes = tuple(sorted(verts[j] % n for j in starts))
-    return SideSymmetry(SymmetryProfile(rotations, len(axes)), axes, p)
+        # v_j = (j // p) * v_p + v_{j mod p}
+        verts = [0, *itertools.accumulate(block)]
+        axes = tuple(sorted((j // p * verts[p] + verts[j % p]) % n for j in starts))
+    return SideSymmetry(
+        SymmetryProfile(rotations, len(axes)), axes, _least_image(n, block)
+    )
 
 
 class BlockSymmetry(NamedTuple):

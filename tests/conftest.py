@@ -4,6 +4,7 @@ import pytest
 
 import polysym as ps
 import polysym.oracle as oracle
+import polysym.polygon_core as polygon_core
 
 
 @pytest.fixture(scope="session")
@@ -39,3 +40,18 @@ def always_pool(monkeypatch):
     """Pools cost nothing to start, so a search given two jobs, two shards
     and two usable CPUs opens one however small its work."""
     monkeypatch.setattr(oracle, "POOL_START_S", 0)
+
+
+@pytest.fixture
+def failure_lengths(monkeypatch):
+    """The length of every KMP failure function the side kernel builds
+    during the test, in order."""
+    lengths = []
+    real = polygon_core._failure
+
+    def counted(seq):
+        lengths.append(len(seq))
+        return real(seq)
+
+    monkeypatch.setattr(polygon_core, "_failure", counted)
+    return lengths

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import dataclasses
 import json
@@ -10,6 +11,7 @@ from fractions import Fraction
 import pytest
 
 import polysym as ps
+import polysym.cli as cli
 import polysym.oracle as oracle
 from polysym.cli import main
 
@@ -168,6 +170,14 @@ class TestClassify:
         run(argv, capfd)
         assert len(calls) == 1
 
+    @pytest.mark.parametrize(
+        "sides", [(1, 4, 1) * 3, (1, 4, 7) * 301, (2,) * 9, (1, 2, 1, 4, 3, 1)]
+    )
+    def test_builds_one_failure_function(self, sides, failure_lengths, capfd):
+        argv = ["classify", "--n", str(len(sides)), "--sides", ",".join(map(str, sides))]
+        assert run(argv, capfd)[0] == 0
+        assert failure_lengths == [len(sides)]
+
 
 class TestVerify:
     def test_census_nonagon(self, capfd):
@@ -311,6 +321,22 @@ class TestVerify:
     def test_census_rejects_m(self, capfd):
         rc, out, err = run(["verify", "--mode", "census", "--n", "6", "--m", "3..4"], capfd)
         assert (rc, out, err) == (2, "", "error: --m does not apply to --mode census\n")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["--mode", "sweep", "--m", "3..4"], ["--mode", "census", "--n", "6"],
+         ["--mode", "identity", "--m", "3..4"]],
+        ids=["sweep", "census", "identity"],
+    )
+    @pytest.mark.parametrize("family", ["axial", "circular", "both"])
+    def test_family_only_applies_to_gcd(self, capfd, argv, family):
+        rc, out, err = run(["verify", *argv, "--family", family], capfd)
+        assert (rc, out, err) == (2, "", f"error: --family does not apply to --mode {argv[1]}\n")
+
+    def test_gcd_family_both_is_the_default(self, capfd):
+        default = run(["verify", "--mode", "gcd", "--m", "3..4"], capfd)
+        assert default == run(["verify", "--mode", "gcd", "--m", "3..4", "--family", "both"], capfd)
+        assert default[0] == 0
 
     @pytest.mark.parametrize("mode", ["sweep", "gcd", "identity"])
     def test_m_modes_reject_n(self, capfd, mode):
@@ -578,6 +604,40 @@ class TestRender:
             capfd,
         )
         assert rc == 2
+
+
+class TestSharedParser:
+    """``main`` builds its parser on the first call and reuses it."""
+
+    SEQUENCE = [
+        ["verify", "--mode", "frobnicate"],  # usage error
+        ["--help"],
+        ["verify", "--mode", "census", "--n", "9"],
+        ["classify", "--n", "9", "--sides", "1,4,1,1,4,1,1,4,1"],
+        ["verify", "--mode", "gcd", "--m", "3", "--family", "axial"],
+        ["verify", "--mode", "census"],  # needs --n
+    ]
+
+    def test_reuse_matches_a_fresh_parser(self, capfd, monkeypatch):
+        fresh = []
+        for argv in self.SEQUENCE:
+            cli._parser.cache_clear()
+            fresh.append(run(argv, capfd))
+        assert [rc for rc, _, _ in fresh] == [2, 0, 0, 0, 0, 2]
+        cli._parser.cache_clear()
+        built = []  # the index of the call during which each parser was made
+        shared = []
+        real = argparse.ArgumentParser.__init__
+
+        def counting(parser, *args, **kwargs):
+            built.append(len(shared))
+            real(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        for argv in self.SEQUENCE:
+            shared.append(run(argv, capfd))
+        assert shared == fresh
+        assert built and set(built) == {0}
 
 
 class TestTopLevel:

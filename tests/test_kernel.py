@@ -23,6 +23,7 @@ from polysym.polygon_core import (
 )
 from walks import (
     family_walk,
+    mirrored_periodic_walk,
     mirrored_walk,
     periodic_walk,
     random_walk,
@@ -33,10 +34,12 @@ from walks import (
 
 
 def edge_reference(t: SideTuple) -> tuple[SymmetryProfile, tuple[int, ...]]:
-    """Profile and mirror axes of a valid walk by scanning its chord set."""
+    """Profile and mirror axes of a valid walk by scanning its chord set:
+    the same scan as ``symmetry_profile``, with each mirror tried once."""
     e = ps.edge_set(ps.validate_walk(t))
+    rotations = sum(1 for k in range(t.n) if ps.rotate_edges(e, k) == e)
     axes = tuple(a for a in range(t.n) if ps.reflect_edges(e, a) == e)
-    return ps.symmetry_profile(e), axes
+    return SymmetryProfile(rotations, len(axes)), axes
 
 
 def divisor_period(sides) -> int:
@@ -47,13 +50,17 @@ def divisor_period(sides) -> int:
     )
 
 
-def assert_matches_reference(t: SideTuple) -> None:
+def assert_matches_reference(t: SideTuple) -> tuple[int, ...]:
+    """Check the kernel against the references; return the mirror axes."""
     sym = side_symmetry(t.n, t.sides)
     profile, axes = edge_reference(t)
     assert sym.profile == profile, t
     assert sym.axes == axes, t
     assert sym.period == divisor_period(t.sides), t
-    assert ps.canonical_form(t).sides == slice_canonical(t.n, t.sides), t
+    canonical = slice_canonical(t.n, t.sides)
+    assert ps.canonical_form(t).sides == canonical, t
+    assert sym.block * (t.n // sym.period) == canonical, t
+    return axes
 
 
 class TestEveryCycle:
@@ -98,6 +105,7 @@ class TestLargeWalks:
             walks.append(reversing_walk(rng, n))
         if n % 3 == 0:
             walks += [family_walk(rng, n, "axial"), periodic_walk(rng, n, n // 3)]
+            walks.append(family_walk(rng, n, "circular"))
         elif n > 300:
             walks.append(periodic_walk(rng, n, 1))
         for sides in walks:
@@ -109,6 +117,36 @@ class TestLargeWalks:
         assert sym.profile == SymmetryProfile(n, n)
         assert sym.axes == tuple(range(n))
         assert sym.period == 1
+
+
+class TestEveryProperPeriod:
+    """The kernel searches one period of the sides and places the other
+    n/p - 1 mirror starts at steps of p.  At n = 60, every proper period
+    p gets a walk with no mirror, one whose mirror fixes a vertex (an even
+    axis) and one whose mirror fixes none (an odd axis), where p allows
+    them: p = 1 is the regular star, every 2-periodic walk is fixed by
+    mirrors through chords only, and for odd p one mirror of each kind
+    comes together."""
+
+    @pytest.mark.parametrize("p", [p for p in range(1, 60) if 60 % p == 0])
+    def test_matches_reference(self, p):
+        n = 60
+        rng = random.Random(p)
+        walks = [] if p == 2 else [mirrored_periodic_walk(rng, n, p, False)]
+        if p % 2 == 0:
+            walks.append(mirrored_periodic_walk(rng, n, p, True))
+        if p > 2:
+            walks.append(next(
+                sides for sides in (periodic_walk(rng, n, p) for _ in range(100))
+                if divisor_period(sides) == p and not edge_reference(SideTuple(n, tuple(sides)))[1]
+            ))
+        kinds = set()
+        for sides in walks:
+            assert divisor_period(sides) == p
+            axes = assert_matches_reference(SideTuple(n, tuple(sides)))
+            kinds |= {("edge", "vertex")[a % 2 == 0] for a in axes} or {"none"}
+        expected = {1: {"vertex", "edge"}, 2: {"edge"}}.get(p, {"none", "vertex", "edge"})
+        assert kinds == expected
 
 
 class TestPrimitives:

@@ -131,6 +131,12 @@ class TestCensusKernel:
         for second in range(1, n):
             assert oracle._census_shard((n, second)) == reference_shard(n, second), second
 
+    @pytest.mark.parametrize("n", [9, 10, 12])
+    def test_one_failure_function_per_profiled_cycle(self, n, failure_lengths):
+        profiled = sum(oracle._census_shard(task)[-1] for task in census_tasks(n)[:3])
+        assert profiled > 0
+        assert failure_lengths == [n] * profiled
+
     @pytest.mark.parametrize("n", range(3, 12))
     def test_one_count_per_cycle(self, n):
         assert serial_census(n).census_size == math.factorial(n - 1) // 2

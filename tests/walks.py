@@ -73,6 +73,53 @@ def periodic_walk(rng: random.Random, n: int, d: int) -> list[int]:
     return _shifted(rng, _sides(verts, n))
 
 
+def mirrored_periodic_walk(
+    rng: random.Random, n: int, d: int, through_edges: bool
+) -> list[int]:
+    """A walk whose sides have least period d and that a mirror maps onto
+    itself traversed backwards, read from a random start.
+
+    Position i of the cycle goes to position c - i under the mirror
+    v -> a - v: c = 0 and a = 0 fix vertex 0, and with ``through_edges``
+    (n and d even) c = 1 and an odd a fix the chord from v_0 to v_1 and
+    no vertex.  The block vertices v_0 .. v_{d-1} fill each residue class
+    mod d once, in mirror pairs, and v_{i+d} = v_i + D with gcd(D, n) = d.
+    """
+    c = 1 if through_edges else 0
+    while True:
+        a = rng.randrange(1, n, 2) if through_edges else 0
+        k = rng.choice([k for k in range(1, n // d + 1) if math.gcd(k, n // d) == 1])
+        D = d * k % n
+        verts: list = [None] * d
+        verts[0] = 0
+        if c:
+            verts[1] = a
+        free = set(range(d)) - {v % d for v in verts if v is not None}
+        for i in range(d):
+            if verts[i] is not None:
+                continue
+            j = (c - i) % d
+            total = a + (D if i > c else 0)  # v_i + v_j, the partner of i
+            if i == j:
+                if total % 2:
+                    break
+                options = [x % n for x in (total // 2, total // 2 + n // 2) if x % d in free]
+                if not options:
+                    break
+                verts[i] = rng.choice(options)
+            else:
+                pairs = sorted(r for r in free if (total - r) % d in free - {r})
+                r = rng.choice(pairs)
+                verts[i] = r + d * rng.randrange(n // d)
+                verts[j] = (total - verts[i]) % n
+            free -= {verts[i] % d, verts[j] % d}
+        else:
+            verts += [(v + j * D) % n for j in range(1, n // d) for v in verts[:d]]
+            sides = _sides(verts, n)
+            if all(sides[e:e + d] != sides[:d] for e in range(1, d) if d % e == 0):
+                return _shifted(rng, sides)
+
+
 def mirrored_walk(rng: random.Random, n: int, through_edges: bool) -> list[int]:
     """A walk fixed by a mirror, read from a random start.
 
