@@ -3,6 +3,9 @@
 Exit codes: 0 success, 1 verification or validation failure, 2 usage
 error.  All output is deterministic; identical invocations produce
 byte-identical stdout and files.
+
+Building the parser imports no other polysym module: each subcommand
+imports the modules it runs, so a process pays only for its command.
 """
 
 from __future__ import annotations
@@ -12,17 +15,6 @@ import contextlib
 import functools
 import json
 import sys
-
-from . import enumeration, oracle, render
-from .classification import family_of, generators
-from .polygon_core import (
-    InvalidSideTuple,
-    SideTuple,
-    WalkError,
-    block_symmetry,
-    side_symmetry,
-    validate_walk,
-)
 
 USAGE_ERROR = 2
 CHECK_FAILED = 1
@@ -67,6 +59,8 @@ def _dump(obj) -> str:
 
 
 def cmd_count(args) -> int:
+    from . import enumeration
+
     m_from, m_to = args.m
     if m_from <= 2 or m_to < m_from:
         return _fail_usage(f"count needs 2 < m_from <= m_to, got {m_from}..{m_to}")
@@ -87,6 +81,8 @@ def cmd_enumerate(args) -> int:
     block's text is formatted once and repeated.  The JSON is the same as
     ``json.dumps`` of the record dicts with compact separators.
     """
+    from . import enumeration, polygon_core
+
     m = args.m
     if m <= 2:
         return _fail_usage(f"family polygons need m > 2, got m={m}")
@@ -100,7 +96,7 @@ def cmd_enumerate(args) -> int:
     rows = [] if json_out else ["n,m,family,a,b,c,u,rotation_order,axis_count,sides"]
     for gens, u in reps:
         block = gens if len(gens) == 3 else (*gens, gens[0])
-        sym = block_symmetry(n, block)
+        sym = polygon_core.block_symmetry(n, block)
         x, y, z = sym.block
         rot, axes = sym.profile.rotation_order, sym.profile.axis_count
         if json_out:
@@ -120,18 +116,20 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_classify(args) -> int:
+    from . import classification, polygon_core
+
     try:
-        t = SideTuple(args.n, args.sides)
-    except InvalidSideTuple as exc:
+        t = polygon_core.SideTuple(args.n, args.sides)
+    except polygon_core.InvalidSideTuple as exc:
         return _fail_usage(str(exc))
     try:
-        validate_walk(t)
-    except WalkError as exc:
+        polygon_core.validate_walk(t)
+    except polygon_core.WalkError as exc:
         return _fail_check(f"not a valid polygon: {exc}")
-    sym = side_symmetry(t.n, t.sides)
+    sym = polygon_core.side_symmetry(t.n, t.sides)
     profile = sym.profile
-    family = family_of(t.n, profile)
-    gens = generators(t.sides, sym.period)
+    family = classification.family_of(t.n, profile)
+    gens = classification.generators(t.sides, sym.period)
     print(
         _dump(
             {
@@ -165,6 +163,8 @@ def _verify_records(args) -> list[dict]:
 
     A sweep that fails mid-range closes its reports, which shuts down the
     pool sweeping the rest of the range."""
+    from . import oracle
+
     if args.mode == "census":
         return [oracle.verify_census(oracle.census_full(args.n, jobs=args.jobs))]
     ms = range(args.m[0], args.m[1] + 1)
@@ -179,6 +179,8 @@ def _verify_records(args) -> list[dict]:
 
 
 def cmd_verify(args) -> int:
+    from . import oracle
+
     if args.jobs < 1:
         return _fail_usage(f"--jobs must be at least 1, got {args.jobs}")
     unread = "m" if args.mode == "census" else "n"
@@ -211,6 +213,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_render(args) -> int:
+    from . import enumeration, render
+
     m = args.m
     if m <= 2:
         return _fail_usage(f"family polygons need m > 2, got m={m}")
@@ -297,6 +301,15 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _usage_errors() -> tuple[type[ValueError], ...]:
+    """The library errors that ``main`` reports as usage errors.  An
+    ``except`` clause evaluates its expression only when an exception
+    reaches it, so a command that raises nothing imports none of them."""
+    from . import enumeration, oracle
+
+    return enumeration.MTooSmall, oracle.NTooSmall, oracle.NTooLarge
+
+
 def main(argv: list[str] | None = None) -> int:
     try:
         args = _parser().parse_args(argv)
@@ -304,9 +317,7 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else USAGE_ERROR
     try:
         return args.func(args)
-    except enumeration.MTooSmall as exc:
-        return _fail_usage(str(exc))
-    except (oracle.NTooSmall, oracle.NTooLarge) as exc:
+    except _usage_errors() as exc:
         return _fail_usage(str(exc))
 
 

@@ -31,7 +31,6 @@ import contextlib
 import functools
 import itertools
 import math
-import multiprocessing
 import os
 import time
 from collections.abc import Iterable, Iterator, Mapping
@@ -170,11 +169,15 @@ def _run_shards(shard, tasks: list[tuple], jobs: int, work: float) -> Iterator:
     (``pool_size(jobs, len(tasks), work)``) each task is computed in this
     process when asked for; otherwise a pool of that size gets every task
     in one ordered ``imap`` and lives until the last result is taken or
-    the generator is closed."""
+    the generator is closed.  ``multiprocessing`` is imported only here,
+    when a pool opens, so a process that runs every search serially
+    never loads it."""
     size = pool_size(jobs, len(tasks), work)
     if size <= 1:
         yield from map(shard, tasks)
         return
+    import multiprocessing
+
     with multiprocessing.Pool(size) as pool:
         yield from pool.imap(shard, tasks)
 

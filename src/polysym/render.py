@@ -26,6 +26,8 @@ class RenderOptions:
             raise ValueError(f"size_px must be at least 64, got {self.size_px}")
         if self.stroke_width <= 0:
             raise ValueError("stroke_width must be positive")
+        if not math.isfinite(self.stroke_width):
+            raise ValueError(f"stroke_width must be finite, got {self.stroke_width}")
 
 
 def _fmt(x: float) -> str:

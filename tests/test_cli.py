@@ -605,6 +605,19 @@ class TestRender:
         )
         assert rc == 2
 
+    @pytest.mark.parametrize("stroke", ["nan", "inf"])
+    def test_nonfinite_stroke_exits_two_and_writes_nothing(self, capfd, tmp_path, stroke):
+        out_path = tmp_path / "x.svg"
+        rc, out, err = run(
+            ["render", "--m", "3", "--family", "axial", "--out", str(out_path),
+             "--stroke", stroke],
+            capfd,
+        )
+        assert rc == 2
+        assert out == ""
+        assert err == f"error: stroke_width must be finite, got {float(stroke)}\n"
+        assert not out_path.exists()
+
 
 class TestSharedParser:
     """``main`` builds its parser on the first call and reuses it."""
@@ -646,6 +659,26 @@ class TestTopLevel:
 
     def test_unknown_command_exits_two(self, capfd):
         assert run(["frobnicate"], capfd)[0] == 2
+
+    CENSUS9 = ["verify", "--mode", "census", "--n", "9"]
+
+    @pytest.mark.parametrize(
+        "target, argv, error",
+        [
+            ("polysym.enumeration.counts_table", ["count", "--m", "3"], ps.MTooSmall(2)),
+            ("polysym.oracle.census_full", CENSUS9, ps.NTooSmall(2)),
+            ("polysym.oracle.census_full", CENSUS9, ps.NTooLarge(13)),
+        ],
+    )
+    def test_library_usage_errors_exit_two(self, capfd, monkeypatch, target, argv, error):
+        """``main`` reports these library errors as usage errors, whichever
+        command they reach it from."""
+
+        def raising(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(target, raising)
+        assert run(argv, capfd) == (2, "", f"error: {error}\n")
 
     def test_stdout_is_reproducible(self, capfd):
         rc1, out1, _ = run(["count", "--m", "3..12", "--format", "json"], capfd)

@@ -42,8 +42,15 @@ class TestRenderOptions:
             RenderOptions(size_px=63)
 
     def test_rejects_nonpositive_stroke(self):
-        with pytest.raises(ValueError):
-            RenderOptions(stroke_width=0)
+        for width in (0, -1.5, float("-inf")):
+            with pytest.raises(ValueError, match="^stroke_width must be positive$"):
+                RenderOptions(stroke_width=width)
+
+    @pytest.mark.parametrize("width", [float("nan"), float("inf")])
+    def test_rejects_nonfinite_stroke(self, width):
+        # neither is an SVG length
+        with pytest.raises(ValueError, match="^stroke_width must be finite"):
+            RenderOptions(stroke_width=width)
 
 
 class TestPolygonSvg:
