@@ -12,8 +12,8 @@ import importlib
 __version__ = "0.1.0"
 
 # Each public name and the submodule that defines it.  A submodule is
-# imported when one of its names is first read from the package (PEP 562),
-# so ``import polysym`` alone imports none of them.
+# imported when it, or one of its names, is first read from the package
+# (PEP 562), so ``import polysym`` alone imports none of them.
 _EXPORTS = {
     "classification": ("Family", "FamilyTag", "classify", "side_period"),
     "enumeration": (
@@ -76,6 +76,8 @@ __all__ = sorted(_MODULE_OF)
 
 
 def __getattr__(name: str):
+    if name in _EXPORTS:
+        return importlib.import_module(f".{name}", __name__)
     module = _MODULE_OF.get(name)
     if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
@@ -85,4 +87,4 @@ def __getattr__(name: str):
 
 
 def __dir__() -> list[str]:
-    return sorted({*globals(), *__all__})
+    return sorted({*globals(), *_EXPORTS, *__all__})

@@ -93,6 +93,13 @@ def test_cold_start_imports_only_what_its_command_runs(case):
     assert not unused & loaded
 
 
+def test_submodules_are_attributes_of_a_fresh_package():
+    code = "import polysym as ps\n" + "".join(
+        f"assert ps.{m}.__name__ == 'polysym.{m}'\n" for m in PUBLIC
+    )
+    assert {f"polysym.{m}" for m in PUBLIC} <= modules_after(code)
+
+
 def test_public_names_are_unchanged():
     assert len(NAMES) == 54
     assert sorted(ps.__all__) == NAMES
@@ -113,7 +120,7 @@ def test_star_import_binds_every_name():
 
 
 def test_dir_lists_every_name():
-    assert set(NAMES) <= set(dir(ps))
+    assert {*NAMES, *PUBLIC} <= set(dir(ps))
 
 
 def test_unknown_attribute_is_named():
