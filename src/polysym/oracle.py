@@ -3,9 +3,10 @@
 Two independent searches back the closed formulas:
 
 * ``sweep_period3`` covers every raw generator triple (a, b, c) in
-  [1, n-1]^3 with no arithmetic filtering: it walks the least triple of
-  every orbit under the block's cyclic shifts and reversed complement,
-  keeps the valid walks, and classifies them geometrically;
+  [1, n-1]^3 with no arithmetic filtering: it checks the least triple
+  of every orbit under the block's cyclic shifts and reversed
+  complement against the walked sets, keeps the valid walks, and
+  classifies them geometrically;
 * ``census_full`` covers every Hamiltonian cycle on n circle vertices
   (n <= 12): a depth-first search builds and classifies the cycles that
   can have a nontrivial rotation and counts the others by subtree size.
@@ -183,23 +184,29 @@ def _run_shards(shard, tasks: list[tuple], jobs: int, work: float) -> Iterator:
 
 
 # ---------------------------------------------------------------------------
-# bitset walk check shared by the sweep and the gcd verifier
+# bitset walk kernel shared by the sweep and the gcd verifier
 #
 # The walk (a, b, c) * m visits k*s, k*s + a and k*s + a + b (k < m,
 # s = a + b + c) and ends at m*s, which is vertex 0 exactly when
 # s = 0 mod 3.  Its n positions are distinct exactly when the m
 # multiples of s are distinct and the three shifted copies of that set
-# cover all n vertices.  The tests pin this against validate_walk on
-# every triple for small m.
+# cover all n vertices.  So for a fixed pair (a, b) one pass over the
+# distinct walked sets decides every third side c at once, as an n-bit
+# mask.  The kernel groups the sums by the set they walk and never
+# assumes which sums are valid: that is the gcd rule it checks.  The
+# tests pin it against validate_walk on every triple for small m.
 
 
-def _walk_rows(m: int) -> list[list[int] | None]:
-    """For each s in 0..n-1: the n rotations of {k*s mod n : k < m} as
-    n-bit ints (rotation j at index j), or None when s != 0 mod 3 or the
-    set repeats a vertex."""
+def _walk_sets(m: int) -> list[tuple[list[int], list[int]]]:
+    """The distinct sets {k*s mod n : k < m} of m distinct vertices walked
+    by the closing sums s = 0, 3, ..., n - 3, one entry per set whatever
+    the number of sums that walk it, as (rots, thirds): rots[j] is the set
+    rotated by j, and thirds[x] the mask of the sums that walk it rotated
+    back by x, that is of the c with c + x mod n among those sums; all are
+    n-bit ints.  A sum whose multiples repeat a vertex is in no entry."""
     n = 3 * m
     full = (1 << n) - 1
-    rows: list[list[int] | None] = [None] * n
+    sums: dict[int, int] = {}
     for s in range(0, n, 3):
         bits = 0
         pos = 0
@@ -209,15 +216,35 @@ def _walk_rows(m: int) -> list[list[int] | None]:
             bits |= 1 << pos
             pos = (pos + s) % n
         else:
-            rows[s] = [((bits << j) | (bits >> (n - j))) & full for j in range(n)]
-    return rows
+            sums[bits] = sums.get(bits, 0) | 1 << s
+    return [
+        ([((bits << j) | (bits >> (n - j))) & full for j in range(n)], _rotated_back(mask, n))
+        for bits, mask in sums.items()
+    ]
 
 
-def _walk_ok(rows: list, full: int, a: int, b: int, c: int) -> bool:
-    """Whether (a, b, c) * m is a valid walk, given ``_walk_rows(m)``."""
-    n = len(rows)
-    r = rows[(a + b + c) % n]
-    return r is not None and (r[0] | r[a] | r[(a + b) % n]) == full
+def _rotated_back(mask: int, n: int) -> list[int]:
+    """The n-bit ``mask`` rotated back by x, at index x: bit c of entry x
+    is bit c + x mod n of ``mask``."""
+    full = (1 << n) - 1
+    return [((mask >> x) | (mask << (n - x))) & full for x in range(n)]
+
+
+def _third_sides(sets: list[tuple[list[int], list[int]]], n: int, a: int) -> list[int]:
+    """For the first side a and each x = a + b mod n (index x): the mask of
+    the third sides c for which (a, b, c) * m is a valid walk, given
+    ``_walk_sets(m)``.  The walk with sum s = x + c is valid exactly when
+    the set s walks, ORed with its rotations by a and x, covers every
+    vertex.  That is one check per walked set and x, and a set that passes
+    it gives the third sides of all its sums at once."""
+    full = (1 << n) - 1
+    row = [0] * n
+    for rots, thirds in sets:
+        ra = rots[0] | rots[a]
+        for x, rx in enumerate(rots):
+            if ra | rx == full:
+                row[x] |= thirds[x]
+    return row
 
 
 # ---------------------------------------------------------------------------
@@ -248,31 +275,37 @@ def _sweep_shard(task: tuple[int, int, int]):
     cyclic shifts and those of its reversed complement), so each orbit is
     examined at its least triple, which is its canonical block.  That
     triple has a <= b, a <= c and a <= n - a, n - b, n - c, so candidates
-    run over a <= n // 2 and a <= b, c <= n - a, with c stepping through
-    the values that close the walk (a + b + c = 0 mod 3).  Every candidate
-    is walked; an image can only tie or beat it when it also starts with
+    run over a <= n // 2 and a <= b, c <= n - a.  For each (a, b) the walk
+    kernel gives every c that makes a valid walk as one mask
+    (``_third_sides``); cut to the window [a, n - a], its set bits are the
+    valid candidates, and only they are visited, in increasing c.
+    An image can only tie or beat a candidate when it also starts with
     a, and then the full six-image minimum decides.
     """
     m, first, step = task
     n = 3 * m
-    full = (1 << n) - 1
-    rows = _walk_rows(m)
+    sets = _walk_sets(m)
     axial: list = []
     circular: list = []
     regular: list = []
     for a in range(first, n // 2 + 1, step):
         top = n - a
+        window = (1 << (top + 1)) - (1 << a)
+        thirds = _third_sides(sets, n, a)
         for b in range(a, top + 1):
-            ab = a + b
-            abn = ab % n
-            for c in range(a + (-ab - a) % 3, top + 1, 3):
-                r = rows[(ab + c) % n]
-                if r is None or (r[0] | r[a] | r[abn]) != full:
-                    continue
+            cs = thirds[(a + b) % n] & window
+            while cs:
+                low = cs & -cs
+                cs ^= low
+                c = low.bit_length() - 1
                 t = (a, b, c)
-                rc = ((n - c, n - b, n - a), (n - b, n - a, n - c), (n - a, n - c, n - b))
                 if (b == a or c == a or b == top or c == top or 2 * a == n) and t != min(
-                    t, (b, c, a), (c, a, b), *rc
+                    t,
+                    (b, c, a),
+                    (c, a, b),
+                    (n - c, n - b, n - a),
+                    (n - b, n - a, n - c),
+                    (n - a, n - c, n - b),
                 ):
                     continue
                 # block_symmetry's profile, read off directly: the reversal
@@ -295,11 +328,14 @@ def sweep_reports(ms: Iterable[int], jobs: int = 1) -> Iterator[OracleReport]:
     of one pool, sized by ``jobs`` and by the work of the whole range, in
     one ordered ``imap``, so they sweep the next m while the caller checks
     the report of this one; with one worker they run lazily in this
-    process.  The sweep at m walks about n^3 / 18 candidates (a <= n/2,
-    then b and every third c in [a, n - a]), each in about 0.2 us
-    (2 vCPU Xeon, m = 10..150), so m = 3..30 is about 65 ms of work and
-    gets a pool, and one m <= 40 runs serially.  The pool opens with
-    the first report asked for and closes after the last one, or when
+    process.  The sweep at m has about n^3 / 18 closing candidates
+    (a <= n/2, then b and every third c in [a, n - a]) and costs about
+    0.05 us per candidate, since its kernel visits only the valid ones
+    (serial timings on 2 vCPUs, m = 10..150: 0.03-0.17 us, highest at
+    small m and where phi(m) / m is large).  So with two workers
+    m = 3..31 runs serially (m = 3..30 is about 16 ms of work), m = 3..32
+    and wider ranges get a pool, and so does one m >= 65.  The pool opens
+    with the first report asked for and closes after the last one, or when
     the returned iterator is closed.  The reports do not depend on
     ``jobs``.  ``ms`` and ``jobs`` are checked here, before any shard runs.
     """
@@ -307,7 +343,7 @@ def sweep_reports(ms: Iterable[int], jobs: int = 1) -> Iterator[OracleReport]:
     for m in ms:
         _require_family_m(m)
     tasks = [sweep_tasks(m, jobs) for m in ms]
-    work = sum(0.2e-6 * (3 * m) ** 3 / 18 for m in ms)
+    work = sum(0.05e-6 * (3 * m) ** 3 / 18 for m in ms)
     parts = _run_shards(_sweep_shard, [t for shards in tasks for t in shards], jobs, work)
     return _sweep_stream(zip(ms, map(len, tasks)), parts)
 
@@ -778,6 +814,12 @@ def verify_identity(m: int) -> dict:
     return {"m": m, "lhs": lhs, "rhs": rhs, "ok": True}
 
 
+def _gcd_sums(n: int) -> int:
+    """The mask of the sums s in 0..n-1 with gcd(s, n) = 3: bit s is set
+    where the gcd rule says a walk with side sum s is valid."""
+    return sum(1 << s for s in range(n) if math.gcd(s, n) == 3)
+
+
 def verify_theorem_gcd(m: int, family: str) -> dict:
     """Check walk validity <=> gcd condition over the whole generator range.
 
@@ -785,39 +827,50 @@ def verify_theorem_gcd(m: int, family: str) -> dict:
     (a, b, a) * m is a valid walk iff gcd(2a + b, 3m) = 3.  For circular,
     every pairwise-distinct residue-1 triple: valid iff gcd(a+b+c, 3m) = 3.
     Returns the ``verify`` record, or raises VerificationError with the
-    first counterexample.
+    first counterexample, in the order a, then b, then c.
+
+    The walk side is the kernel's third-side mask of each (a, b)
+    (``_third_sides``), the gcd side the mask ``_gcd_sums(n)`` of the
+    sums the rule admits.  Axial reads bit a of the third-side mask and
+    bit 2a + b of the rule.  Circular compares the whole third-side mask
+    with the rule rotated back by a + b, on the residue-1 bits c != a, b;
+    the lowest bit where they differ is the first counterexample.
     """
     _require_family_m(m)
+    if family not in ("axial", "circular"):
+        raise ValueError(f"family must be 'axial' or 'circular', got {family!r}")
     n = 3 * m
-    rows = _walk_rows(m)
-    full = (1 << n) - 1
+    sets = _walk_sets(m)
+    rule = _gcd_sums(n)
     vals = range(1, n - 1, 3)
     if family == "axial":
         for a in vals:
+            thirds = _third_sides(sets, n, a)
             for b in vals:
                 if b == a:
                     continue
-                walk_ok = _walk_ok(rows, full, a, b, a)
-                if walk_ok != (math.gcd(2 * a + b, n) == 3):
+                walk_ok = bool(thirds[(a + b) % n] >> a & 1)
+                if walk_ok != bool(rule >> (2 * a + b) % n & 1):
                     raise VerificationError(
                         f"axial biconditional fails at m={m}, (a,b)=({a},{b}): "
                         f"walk={walk_ok}, gcd(2a+b,3m)={math.gcd(2 * a + b, n)}"
                     )
-    elif family == "circular":
+    else:
+        wants = _rotated_back(rule, n)  # bit c of wants[x]: the rule admits c + x
+        residue1 = sum(1 << c for c in vals)
         for a in vals:
+            thirds = _third_sides(sets, n, a)
             for b in vals:
                 if b == a:
                     continue
-                for c in vals:
-                    if c == a or c == b:
-                        continue
-                    walk_ok = _walk_ok(rows, full, a, b, c)
-                    if walk_ok != (math.gcd(a + b + c, n) == 3):
-                        raise VerificationError(
-                            f"circular biconditional fails at m={m}, "
-                            f"(a,b,c)=({a},{b},{c}): walk={walk_ok}, "
-                            f"gcd(a+b+c,3m)={math.gcd(a + b + c, n)}"
-                        )
-    else:
-        raise ValueError(f"family must be 'axial' or 'circular', got {family!r}")
+                x = (a + b) % n
+                diff = (thirds[x] ^ wants[x]) & residue1 & ~(1 << a | 1 << b)
+                if diff:
+                    c = (diff & -diff).bit_length() - 1
+                    walk_ok = bool(thirds[x] >> c & 1)
+                    raise VerificationError(
+                        f"circular biconditional fails at m={m}, "
+                        f"(a,b,c)=({a},{b},{c}): walk={walk_ok}, "
+                        f"gcd(a+b+c,3m)={math.gcd(a + b + c, n)}"
+                    )
     return {"m": m, "family": family, "ok": True}

@@ -289,9 +289,14 @@ class TestVerify:
             (["--mode", "census", "--n", "10"], [2]),
             (["--mode", "census", "--n", "11"], []),
             (["--mode", "sweep", "--m", "3..12"], []),
-            (["--mode", "sweep", "--m", "3..30"], [2]),
+            (["--mode", "sweep", "--m", "3..30"], []),
+            (["--mode", "sweep", "--m", "3..31"], []),
+            (["--mode", "sweep", "--m", "3..32"], [2]),
         ],
-        ids=["census9", "census10", "census11", "sweep3-12", "sweep3-30"],
+        ids=[
+            "census9", "census10", "census11",
+            "sweep3-12", "sweep3-30", "sweep3-31", "sweep3-32",
+        ],
     )
     def test_pool_only_where_the_work_pays_for_it(self, argv, pools, capfd, opened_pools):
         before = set(multiprocessing.active_children())
@@ -530,17 +535,33 @@ class TestVerifyFailures:
             capfd,
         )
 
+    @staticmethod
+    def flip_walk(monkeypatch, a, b, c):
+        """Make the walk kernel misjudge the walk (a, b, c) * m."""
+        real = oracle._third_sides
+
+        def flipped(sets, n, first):
+            thirds = real(sets, n, first)
+            if first == a:
+                thirds[(a + b) % n] ^= 1 << c
+            return thirds
+
+        monkeypatch.setattr(oracle, "_third_sides", flipped)
+
     def test_gcd(self, capfd, monkeypatch):
-        real = oracle._walk_ok
-
-        def flipped(rows, full, a, b, c):
-            ok = real(rows, full, a, b, c)
-            return not ok if (a, b, c) == (1, 4, 1) else ok
-
-        monkeypatch.setattr(oracle, "_walk_ok", flipped)
+        self.flip_walk(monkeypatch, 1, 4, 1)
         self.assert_fails(
             ["--mode", "gcd", "--m", "3..3", "--family", "axial"],
             "axial biconditional fails at m=3, (a,b)=(1,4): walk=False, gcd(2a+b,3m)=3",
+            capfd,
+        )
+
+    def test_gcd_circular(self, capfd, monkeypatch):
+        self.flip_walk(monkeypatch, 1, 4, 7)
+        self.assert_fails(
+            ["--mode", "gcd", "--m", "3..3", "--family", "circular"],
+            "circular biconditional fails at m=3, (a,b,c)=(1,4,7): walk=False, "
+            "gcd(a+b+c,3m)=3",
             capfd,
         )
 

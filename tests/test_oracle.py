@@ -20,8 +20,9 @@ import polysym.oracle as oracle
 from polysym.oracle import (
     _scan_axial_count,
     _scan_circular_count,
-    _walk_ok,
-    _walk_rows,
+    _sweep_shard,
+    _third_sides,
+    _walk_sets,
     census_tasks,
     pool_size,
     sweep_tasks,
@@ -34,7 +35,9 @@ from walks import (
     reference_census_shard,
     reference_circular_count,
     reference_sweep,
+    reference_sweep_shard,
     reference_theorem_blocks,
+    reference_theorem_gcd,
     slice_canonical,
     undirected_cycles,
     walk3,
@@ -290,15 +293,24 @@ class TestSweep:
             n = 3 * m
             if n % 2:
                 continue
-            rows = _walk_rows(m)
-            full = (1 << n) - 1
+            sets = _walk_sets(m)
             for a in range(1, n):
+                thirds = _third_sides(sets, n, a)
                 for b in range(1, n):
                     c = 3 * n // 2 - a - b
                     if 0 < c < n:
-                        assert not _walk_ok(rows, full, a, b, c), (m, a, b, c)
+                        assert not thirds[(a + b) % n] >> c & 1, (m, a, b, c)
                         checked += 1
         assert checked == 75601
+
+    @pytest.mark.parametrize("m", range(3, 41))
+    def test_shards_match_per_candidate_reference(self, m):
+        for step in (1, 2):
+            for first in range(1, step + 1):
+                task = (m, first, step)
+                ours = _sweep_shard(task)
+                ref = reference_sweep_shard(task)
+                assert [sorted(x) for x in ours] == [sorted(x) for x in ref], task
 
     def test_agrees_with_census_on_the_nonagon(self, census9):
         r = ps.sweep_period3(3)
@@ -407,11 +419,11 @@ class TestFastPathsAgainstGeometry:
     @pytest.mark.parametrize("m", [3, 4, 5])
     def test_walk_kernel_matches_validate_walk(self, m):
         n = 3 * m
-        rows = _walk_rows(m)
-        full = (1 << n) - 1
+        sets = _walk_sets(m)
         seen = [0] * n
         stamp = 0
         for a in range(1, n):
+            thirds = _third_sides(sets, n, a)
             for b in range(1, n):
                 for c in range(1, n):
                     stamp += 1
@@ -420,7 +432,7 @@ class TestFastPathsAgainstGeometry:
                         slow = True
                     except WalkError:
                         slow = False
-                    assert _walk_ok(rows, full, a, b, c) == slow, (a, b, c)
+                    assert bool(thirds[(a + b) % n] >> c & 1) == slow, (a, b, c)
                     # the reference walk behind reference_sweep
                     assert walk3(n, m, a, b, c, seen, stamp) == slow, (a, b, c)
 
@@ -482,6 +494,33 @@ class TestGcdTheorem:
         for m in range(3, 9):
             assert ps.verify_theorem_gcd(m, "axial")
             assert ps.verify_theorem_gcd(m, "circular")
+
+    @pytest.mark.parametrize("m", range(3, 25))
+    def test_gcd_side_faults_match_per_triple_reference(self, m, monkeypatch):
+        # the rule flipped at every sum s >= s0 (mod n), for each s0: a
+        # circular pair then meets several wrong sums, and the verifier
+        # must report the reference's first counterexample, byte for byte
+        n = 3 * m
+        raised = 0
+        for s0 in range(0, n, 3):
+
+            def admits(s, s0=s0):
+                return (math.gcd(s, n) == 3) != (s >= s0)
+
+            faulty = sum(1 << s for s in range(n) if admits(s))
+            monkeypatch.setattr(oracle, "_gcd_sums", lambda n, faulty=faulty: faulty)
+            for family in ("axial", "circular"):
+                want = reference_theorem_gcd(m, family, admits)
+                if want is None:
+                    assert ps.verify_theorem_gcd(m, family)["ok"]
+                    continue
+                with pytest.raises(VerificationError) as err:
+                    ps.verify_theorem_gcd(m, family)
+                assert str(err.value) == want
+                raised += 1
+        # every fault is met by some pair and some triple, except at m = 3,
+        # where the one circular sum, 12 = 3 mod 9, lies below s0 = 6
+        assert raised == (5 if m == 3 else 2 * m)
 
     def test_excluded_pair_is_really_invalid(self):
         # gcd(2*1+7, 9) = 9, not 3, so (1,7) is no generator pair at m=3;

@@ -1,9 +1,10 @@
 """Side tuples of walks with a prescribed symmetry, drawn from a seeded RNG,
-per-triple reference versions of the oracle's walk check and sweep, a
-block-kernel reference for its theorem class sets, a per-permutation
-reference version of its census shard, per-pair and per-triple reference
-versions of its identity counts, and per-record and per-cell reference
-versions of the ``enumerate`` and ``render`` output.
+per-triple reference versions of the oracle's walk check, sweep, sweep
+shard and gcd verifier, a block-kernel reference for its theorem class
+sets, a per-permutation reference version of its census shard, per-pair
+and per-triple reference versions of its identity counts, and per-record
+and per-cell reference versions of the ``enumerate`` and ``render``
+output.
 
 Shared by the golden-output, kernel, oracle, CLI and render tests.  Every
 generator returns the sides of a valid walk on n vertices as a list.
@@ -230,6 +231,78 @@ def reference_sweep(m: int):
                 else:
                     other.add(key)
     return axial, circular, regular, len(other)
+
+
+def reference_sweep_shard(task: tuple[int, int, int]):
+    """``oracle._sweep_shard`` one candidate at a time: every orbit-least
+    candidate (a, b, c) with a + b + c = 0 mod 3 is checked against bit
+    rows of the walked sets, one row per sum, and the three class lists
+    come out in the same order."""
+    m, first, step = task
+    n = 3 * m
+    full = (1 << n) - 1
+    rows = [None] * n
+    for s in range(0, n, 3):
+        bits = 0
+        pos = 0
+        for _ in range(m):
+            if bits >> pos & 1:
+                break
+            bits |= 1 << pos
+            pos = (pos + s) % n
+        else:
+            rows[s] = [((bits << j) | (bits >> (n - j))) & full for j in range(n)]
+    axial, circular, regular = [], [], []
+    for a in range(first, n // 2 + 1, step):
+        top = n - a
+        for b in range(a, top + 1):
+            ab = a + b
+            for c in range(a + (-ab - a) % 3, top + 1, 3):
+                r = rows[(ab + c) % n]
+                if r is None or (r[0] | r[a] | r[ab % n]) != full:
+                    continue
+                t = (a, b, c)
+                rc = ((n - c, n - b, n - a), (n - b, n - a, n - c), (n - a, n - c, n - b))
+                if t != min(t, (b, c, a), (c, a, b), *rc):
+                    continue
+                if a == b == c:
+                    regular.append(t)
+                elif a == b or b == c or a == c:
+                    axial.append(t)
+                else:
+                    circular.append(t)
+    return axial, circular, regular
+
+
+def reference_theorem_gcd(m: int, family: str, admits) -> str | None:
+    """The message ``oracle.verify_theorem_gcd`` raises, or None when the
+    check passes, one generator pair or triple at a time: each walk is
+    checked with ``walk3`` and the gcd side is ``admits(s)`` for its sum s
+    reduced mod n."""
+    n = 3 * m
+    vals = range(1, n - 1, 3)
+    seen = [0] * n
+    stamp = 0
+    for a in vals:
+        for b in vals:
+            if b == a:
+                continue
+            thirds = [a] if family == "axial" else [c for c in vals if c not in (a, b)]
+            for c in thirds:
+                stamp += 1
+                walk_ok = walk3(n, m, a, b, c, seen, stamp)
+                if walk_ok == admits((a + b + c) % n):
+                    continue
+                if family == "axial":
+                    return (
+                        f"axial biconditional fails at m={m}, (a,b)=({a},{b}): "
+                        f"walk={walk_ok}, gcd(2a+b,3m)={math.gcd(2 * a + b, n)}"
+                    )
+                return (
+                    f"circular biconditional fails at m={m}, (a,b,c)=({a},{b},{c}): "
+                    f"walk={walk_ok}, gcd(a+b+c,3m)={math.gcd(a + b + c, n)}"
+                )
+    return None
 
 
 def reference_theorem_blocks(m: int, family: str) -> frozenset:
