@@ -11,7 +11,6 @@ imports the modules it runs, so a process pays only for its command.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import functools
 import json
 import sys
@@ -161,16 +160,14 @@ _VERIFY_LINES = {
 def _verify_records(args) -> list[dict]:
     """The oracle's record for each m (and family) of the range, or for n.
 
-    A sweep that fails mid-range closes its reports, which shuts down the
-    pool sweeping the rest of the range."""
+    ``--jobs`` sizes the census's pool; every other mode runs in-process."""
     from . import oracle
 
     if args.mode == "census":
         return [oracle.verify_census(oracle.census_full(args.n, jobs=args.jobs))]
     ms = range(args.m[0], args.m[1] + 1)
     if args.mode == "sweep":
-        with contextlib.closing(oracle.sweep_reports(ms, jobs=args.jobs)) as reports:
-            return [oracle.verify_sweep(report) for report in reports]
+        return [oracle.verify_sweep(oracle.sweep_period3(m)) for m in ms]
     if args.mode == "identity":
         return [oracle.verify_identity(m) for m in ms]
     family = args.family or "both"

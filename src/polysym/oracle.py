@@ -14,27 +14,24 @@ Two independent searches back the closed formulas:
 Both report rotation classes by canonical side tuple.  ``verify_sweep``
 and ``verify_census`` compare a finished report with the closed formulas,
 the theorem enumerators and each other, and return the record that
-``polysym verify`` prints.  Work is split into deterministic shards;
-shard results merge by plain set union, so reports do not depend on the
+``polysym verify`` prints.  The sweep runs in this process.  The census
+is split into deterministic shards, one per second vertex, whose
+results merge by plain set union, so its report does not depend on the
 worker count.  ``_run_shards`` is the one place that starts worker
-processes.  Each search estimates its serial work from its input (the
-census from n, the sweep from its list of m); when the workers would
-save less than a pool costs to start (``POOL_START_S``) the shards run
-in this process, and otherwise the search opens a pool of its own and
-closes it when its last shard result is taken.  ``sweep_reports``
-streams the shards of a whole range of m to the workers at once and
-yields each m's report as it completes.
+processes.  The census estimates its serial work from n; when the
+workers would save less than a pool costs to start (``POOL_START_S``)
+its shards run in this process, and otherwise it opens a pool of its
+own and closes it when its last shard result is taken.
 """
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import itertools
 import math
 import os
 import time
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
 
 from .classification import FamilyTag, family_of
@@ -94,11 +91,8 @@ class OracleReport:
     cannot pass unnoticed.
     ``stats`` holds stage counters: for the census ``cycles``,
     ``screened_out`` and ``profiled``; empty for the sweep.
-    ``elapsed`` is the wall time spent collecting the search's shard
-    results.  For a sweep report (from ``sweep_reports``, which
-    ``sweep_period3`` calls) it starts when the caller asks for that
-    report, so shards of this m that the workers finished while the
-    caller checked the previous m do not count.
+    ``elapsed`` is the wall time of the search, including the census's
+    pool when it opens one.
     """
 
     n: int
@@ -144,13 +138,13 @@ def _usable_cpus() -> int:
 
 # Seconds to open and close a pool of forked workers: about 10 ms on a
 # 2 vCPU Xeon with Python 3.11 (``spawn`` re-imports the package in every
-# worker and costs about 0.2 s).  A search whose workers would save less
-# runs in this process.
+# worker and costs about 0.2 s).  A census whose workers would save less
+# runs in this process; the sweep always does.
 POOL_START_S = 0.01
 
 
 def pool_size(jobs: int, shards: int, work: float) -> int:
-    """Worker processes for ``shards`` tasks that take about ``work``
+    """Worker processes for ``shards`` census tasks that take about ``work``
     seconds in one process: ``jobs``, capped by the shard count and by the
     CPUs this process may run on, or 1 (run serially) when that many
     workers would save less than their pool costs to start.  k workers
@@ -251,25 +245,12 @@ def _third_sides(sets: list[tuple[list[int], list[int]]], n: int, a: int) -> lis
 # sweep over all generator triples
 
 
-def sweep_tasks(m: int, jobs: int) -> list[tuple[int, int, int]]:
-    """The shards (m, first, step) of ``sweep_period3(m, jobs)``: shard i
-    scans the first sides a = i, i + k, i + 2k, ... up to n // 2, for
-    k = min(jobs, n // 2) shards.  Interleaving balances them, as a small
-    a costs the most."""
-    if jobs < 1:
-        raise ValueError(f"jobs must be at least 1, got {jobs}")
-    k = min(jobs, 3 * m // 2)
-    return [(m, first, k) for first in range(1, k + 1)]
-
-
-def _sweep_shard(task: tuple[int, int, int]):
-    """Scan the orbit-least candidates (a, b, c) of the shard ``task`` =
-    (m, first, step), those with a = first, first + step, ...; returns the
-    canonical 3-blocks of the axial, circular and regular classes found,
-    as three lists (by the lemma in ``block_symmetry``, no valid block
-    falls in no family).  Each candidate is scanned once, so no list
-    repeats a block.  A list unpickles into one buffer, so shard results
-    waiting in the parent for their merge stay small.
+def _sweep_shard(m: int):
+    """Scan the orbit-least candidates (a, b, c) of the sweep at m, for
+    every first side a = 1 .. n // 2; returns the canonical 3-blocks of
+    the axial, circular and regular classes found, as three lists (by the
+    lemma in ``block_symmetry``, no valid block falls in no family).  Each
+    candidate is scanned once, so no list repeats a block.
 
     Validity and class are invariant under the six images of a block (its
     cyclic shifts and those of its reversed complement), so each orbit is
@@ -282,13 +263,12 @@ def _sweep_shard(task: tuple[int, int, int]):
     An image can only tie or beat a candidate when it also starts with
     a, and then the full six-image minimum decides.
     """
-    m, first, step = task
     n = 3 * m
     sets = _walk_sets(m)
     axial: list = []
     circular: list = []
     regular: list = []
-    for a in range(first, n // 2 + 1, step):
+    for a in range(1, n // 2 + 1):
         top = n - a
         window = (1 << (top + 1)) - (1 << a)
         thirds = _third_sides(sets, n, a)
@@ -321,55 +301,20 @@ def _sweep_shard(task: tuple[int, int, int]):
     return axial, circular, regular
 
 
-def sweep_reports(ms: Iterable[int], jobs: int = 1) -> Iterator[OracleReport]:
-    """``sweep_period3(m, jobs)`` for each m of ``ms``, yielded in order.
+def sweep_period3(m: int, jobs: int = 1) -> OracleReport:
+    """Classify every valid 3-periodic walk on n = 3m vertices.
 
-    Every shard of every m (``sweep_tasks(m, jobs)``) goes to the workers
-    of one pool, sized by ``jobs`` and by the work of the whole range, in
-    one ordered ``imap``, so they sweep the next m while the caller checks
-    the report of this one; with one worker they run lazily in this
-    process.  The sweep at m has about n^3 / 18 closing candidates
-    (a <= n/2, then b and every third c in [a, n - a]) and costs about
-    0.05 us per candidate, since its kernel visits only the valid ones
-    (serial timings on 2 vCPUs, m = 10..150: 0.03-0.17 us, highest at
-    small m and where phi(m) / m is large).  So with two workers
-    m = 3..31 runs serially (m = 3..30 is about 16 ms of work), m = 3..32
-    and wider ranges get a pool, and so does one m >= 65.  The pool opens
-    with the first report asked for and closes after the last one, or when
-    the returned iterator is closed.  The reports do not depend on
-    ``jobs``.  ``ms`` and ``jobs`` are checked here, before any shard runs.
+    The orbits of all (n-1)^3 generator triples are covered; no residue
+    or gcd conditions are applied, so the result is independent of the
+    enumeration module.  The sweep runs in this process, as one
+    ``_sweep_shard(m)``.  ``jobs`` must be at least 1 and is otherwise
+    not read: worker processes serve the census only.
     """
-    ms = list(ms)
-    for m in ms:
-        _require_family_m(m)
-    tasks = [sweep_tasks(m, jobs) for m in ms]
-    work = sum(0.05e-6 * (3 * m) ** 3 / 18 for m in ms)
-    parts = _run_shards(_sweep_shard, [t for shards in tasks for t in shards], jobs, work)
-    return _sweep_stream(zip(ms, map(len, tasks)), parts)
-
-
-def _sweep_stream(sizes, parts) -> Iterator[OracleReport]:
-    """One report per (m, shard count) of ``sizes``, each from its next
-    shard results in ``parts``; closing it closes ``parts``."""
-    with contextlib.closing(parts):
-        for m, count in sizes:
-            yield _sweep_report(m, itertools.islice(parts, count))
-
-
-def _sweep_report(m: int, parts) -> OracleReport:
-    """The report of the sweep at m from the results of its shards.
-
-    A function of its own, so that its working sets are freed before
-    ``_sweep_stream`` yields the report.
-    """
+    _require_family_m(m)
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     start = time.perf_counter()
-    axial: set = set()
-    circular: set = set()
-    regular: set = set()
-    for ax, ci, re in parts:
-        axial.update(ax)
-        circular.update(ci)
-        regular.update(re)
+    axial, circular, regular = _sweep_shard(m)
     n = 3 * m
     return OracleReport(
         n=n,
@@ -380,20 +325,6 @@ def _sweep_report(m: int, parts) -> OracleReport:
         census_size=(n - 1) ** 3,
         elapsed=time.perf_counter() - start,
     )
-
-
-def sweep_period3(m: int, jobs: int = 1) -> OracleReport:
-    """Classify every valid 3-periodic walk on n = 3m vertices.
-
-    The orbits of all (n-1)^3 generator triples are covered; no residue
-    or gcd conditions are applied, so the result is independent of the
-    enumeration module.  ``jobs`` sizes the pool that runs the shards of
-    ``sweep_tasks(m, jobs)``, unless the work is too small to pay for
-    one; the result does not depend on it.  This is
-    ``sweep_reports([m], jobs)``.
-    """
-    (report,) = sweep_reports([m], jobs)
-    return report
 
 
 # ---------------------------------------------------------------------------

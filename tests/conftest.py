@@ -37,7 +37,7 @@ def opened_pools(monkeypatch):
 
 @pytest.fixture
 def always_pool(monkeypatch):
-    """Pools cost nothing to start, so a search given two jobs, two shards
+    """Pools cost nothing to start, so a census given two jobs, two shards
     and two usable CPUs opens one however small its work."""
     monkeypatch.setattr(oracle, "POOL_START_S", 0)
 

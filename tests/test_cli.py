@@ -1,9 +1,7 @@
 import argparse
-import contextlib
 import dataclasses
 import json
 import multiprocessing
-import multiprocessing.pool
 import subprocess
 import sys
 from fractions import Fraction
@@ -242,30 +240,13 @@ class TestVerify:
         report = json.loads(out.splitlines()[-1])
         assert report["results"] == [{"m": 3, "family": "axial", "ok": True}]
 
-    def test_jobs_flag_does_not_change_output(self, capfd, monkeypatch, always_pool):
-        # two usable CPUs: --jobs 3 deals three shards per m to two workers
-        monkeypatch.setattr(oracle, "_usable_cpus", lambda: 2)
+    def test_jobs_flag_does_not_change_output(self, capfd):
         rc1, out1, _ = run(["verify", "--mode", "sweep", "--m", "3..12"], capfd)
         for jobs in ("2", "3"):
             rc2, out2, _ = run(
                 ["verify", "--mode", "sweep", "--m", "3..12", "--jobs", jobs], capfd
             )
             assert (rc1, out1) == (rc2, out2)
-
-    def test_sweep_range_is_one_dispatch(self, capfd, monkeypatch, always_pool):
-        monkeypatch.setattr(oracle, "_usable_cpus", lambda: 2)
-        calls = []
-        for name in ("imap", "imap_unordered", "map", "starmap"):
-            real = getattr(multiprocessing.pool.Pool, name)
-
-            def counting(pool, *args, _name=name, _real=real, **kwargs):
-                calls.append(_name)
-                return _real(pool, *args, **kwargs)
-
-            monkeypatch.setattr(multiprocessing.pool.Pool, name, counting)
-        rc, _, _ = run(["verify", "--mode", "sweep", "--m", "3..8", "--jobs", "2"], capfd)
-        assert rc == 0
-        assert calls == ["imap"]
 
     @pytest.mark.parametrize("mode", ["sweep", "gcd"])
     @pytest.mark.parametrize("jobs", ["0", "-2"])
@@ -277,9 +258,9 @@ class TestVerify:
 
     def test_one_pool_per_command(self, capfd, opened_pools, always_pool):
         before = set(multiprocessing.active_children())
-        rc, _, _ = run(["verify", "--mode", "sweep", "--m", "3..6", "--jobs", "2"], capfd)
+        rc, _, _ = run(["verify", "--mode", "census", "--n", "10", "--jobs", "2"], capfd)
         assert rc == 0
-        assert opened_pools == [2]  # one pool for the whole range
+        assert opened_pools == [2]  # one pool for all the census's shards
         assert set(multiprocessing.active_children()) <= before
 
     @pytest.mark.parametrize(
@@ -291,7 +272,7 @@ class TestVerify:
             (["--mode", "sweep", "--m", "3..12"], []),
             (["--mode", "sweep", "--m", "3..30"], []),
             (["--mode", "sweep", "--m", "3..31"], []),
-            (["--mode", "sweep", "--m", "3..32"], [2]),
+            (["--mode", "sweep", "--m", "3..32"], []),
         ],
         ids=[
             "census9", "census10", "census11",
@@ -313,14 +294,17 @@ class TestVerify:
         ids=[*(f"census{n}" for n in range(3, 12)), "sweep3-12"],
     )
     def test_jobs_do_not_change_stdout(self, argv, forced, capfd, opened_pools, request):
-        # on either side of the cut-off; a census of n = 3 has one shard
+        # on either side of the cut-off; a census of n = 3 has one shard,
+        # and the sweep never opens a pool
         if forced:
             request.getfixturevalue("always_pool")
         one = run(["verify", *argv, "--jobs", "1"], capfd)
         assert opened_pools == []
         two = run(["verify", *argv, "--jobs", "2"], capfd)
         assert one == two and one[0] == 0
-        if forced and argv[-1] != "3":
+        if argv[1] == "sweep":
+            assert opened_pools == []
+        elif forced and argv[-1] != "3":
             assert opened_pools == [2]
 
     def test_census_rejects_m(self, capfd):
@@ -378,27 +362,6 @@ def patch_report(monkeypatch, name, change):
     monkeypatch.setattr(oracle, name, patched)
 
 
-def patch_sweep_reports(monkeypatch, change):
-    """Make ``oracle.sweep_reports`` yield ``change(report)`` for each of its
-    own reports; closing the patched iterator closes the real one.  Returns
-    the list of patched iterators made, which keeps them alive, so only an
-    explicit close can shut their pools down."""
-    real = oracle.sweep_reports
-    made = []
-
-    def changed(*args, **kwargs):
-        with contextlib.closing(real(*args, **kwargs)) as reports:
-            for report in reports:
-                yield change(report)
-
-    def patched(*args, **kwargs):
-        made.append(changed(*args, **kwargs))
-        return made[-1]
-
-    monkeypatch.setattr(oracle, "sweep_reports", patched)
-    return made
-
-
 def drop_least(blocks):
     return blocks - {min(blocks)}
 
@@ -412,8 +375,9 @@ class TestVerifyFailures:
         assert (rc, out, err) == (1, "", f"FAIL: {message}\n")
 
     def test_sweep_count(self, capfd, monkeypatch):
-        patch_sweep_reports(
+        patch_report(
             monkeypatch,
+            "sweep_period3",
             lambda r: dataclasses.replace(r, axial_blocks=drop_least(r.axial_blocks)),
         )
         self.assert_fails(
@@ -422,8 +386,9 @@ class TestVerifyFailures:
 
     def test_sweep_class_set(self, capfd, monkeypatch):
         # same count, but (0, 0, 0) is no theorem block
-        patch_sweep_reports(
+        patch_report(
             monkeypatch,
+            "sweep_period3",
             lambda r: dataclasses.replace(
                 r, axial_blocks=drop_least(r.axial_blocks) | {(0, 0, 0)}
             ),
@@ -435,20 +400,24 @@ class TestVerifyFailures:
     def test_sweep_failure_mid_range_tears_down_pool(
         self, capfd, monkeypatch, opened_pools, always_pool
     ):
-        # m = 4 fails after the shards of m = 5 went to the workers
-        made = patch_sweep_reports(
-            monkeypatch,
-            lambda r: dataclasses.replace(r, axial_blocks=drop_least(r.axial_blocks))
-            if r.n == 12
-            else r,
-        )
+        # m = 4 fails, m = 5 is never swept, and no pool opens even when
+        # pools cost nothing to start
+        swept = []
+
+        def failing_at_4(r):
+            swept.append(r.n // 3)
+            if r.n != 12:
+                return r
+            return dataclasses.replace(r, axial_blocks=drop_least(r.axial_blocks))
+
+        patch_report(monkeypatch, "sweep_period3", failing_at_4)
         before = set(multiprocessing.active_children())
         self.assert_fails(
             ["--mode", "sweep", "--m", "3..5", "--jobs", "2"],
             "sweep m=4: axial count 5 != formula 6",
             capfd,
         )
-        assert len(made) == 1 and opened_pools == [2]
+        assert swept == [3, 4] and opened_pools == []
         assert set(multiprocessing.active_children()) <= before
 
     def test_census_against_sweep(self, capfd, monkeypatch):

@@ -46,15 +46,22 @@ NAMES = sorted(name for names in PUBLIC.values() for name in names)
 SRC = str(Path(ps.__file__).resolve().parent.parent)
 
 
-def modules_after(code: str) -> set[str]:
-    """``sys.modules`` of a fresh interpreter after it runs ``code``."""
+def fresh_run(code: str) -> tuple[str, set[str]]:
+    """What a fresh interpreter prints while it runs ``code``, and its
+    ``sys.modules`` after."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     script = f"{code}\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))"
     proc = subprocess.run(
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
     )
-    return set(json.loads(proc.stdout.splitlines()[-1]))
+    *printed, modules = proc.stdout.splitlines(keepends=True)
+    return "".join(printed), set(json.loads(modules))
+
+
+def modules_after(code: str) -> set[str]:
+    """``sys.modules`` of a fresh interpreter after it runs ``code``."""
+    return fresh_run(code)[1]
 
 
 CLASSIFY = "['classify', '--n', '9', '--sides', '1,4,1,1,4,1,1,4,1']"
@@ -91,6 +98,24 @@ def test_cold_start_imports_only_what_its_command_runs(case):
     loaded = modules_after(code)
     assert needed <= loaded
     assert not unused & loaded
+
+
+def test_sweep_runs_in_process_whatever_jobs_says():
+    # with two usable CPUs, m = 3..32 is a range whose sweep once opened a
+    # pool; the sweep has one code path, so --jobs 2 loads no
+    # multiprocessing and prints the --jobs 1 bytes
+    printed = []
+    for jobs in ("1", "2"):
+        argv = ["verify", "--mode", "sweep", "--m", "3..32", "--jobs", jobs]
+        out, loaded = fresh_run(
+            "import polysym.cli as cli, polysym.oracle as oracle\n"
+            "oracle._usable_cpus = lambda: 2\n"
+            f"assert cli.main({argv!r}) == 0"
+        )
+        assert "multiprocessing" not in loaded
+        printed.append(out)
+    assert printed[0] == printed[1]
+    assert printed[0].startswith("sweep m=3: ")
 
 
 def test_submodules_are_attributes_of_a_fresh_package():

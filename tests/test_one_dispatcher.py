@@ -1,6 +1,6 @@
 """Worker processes start in one place: ``oracle._run_shards``.
 
-Every search hands its shards to that function, which opens a pool of
+The census hands its shards to that function, which opens a pool of
 its own and closes it with the last result, so no caller passes a pool.
 It is also the only place that imports ``multiprocessing``, when the
 pool opens, so a process whose searches all run serially never loads it.

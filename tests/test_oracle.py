@@ -1,4 +1,3 @@
-import dataclasses
 import functools
 import math
 import multiprocessing
@@ -25,7 +24,6 @@ from polysym.oracle import (
     _walk_sets,
     census_tasks,
     pool_size,
-    sweep_tasks,
     theorem_axial_blocks,
     theorem_circular_blocks,
 )
@@ -305,35 +303,15 @@ class TestSweep:
 
     @pytest.mark.parametrize("m", range(3, 41))
     def test_shards_match_per_candidate_reference(self, m):
-        for step in (1, 2):
-            for first in range(1, step + 1):
-                task = (m, first, step)
-                ours = _sweep_shard(task)
-                ref = reference_sweep_shard(task)
-                assert [sorted(x) for x in ours] == [sorted(x) for x in ref], task
+        ours = _sweep_shard(m)
+        ref = reference_sweep_shard(m)
+        assert [sorted(x) for x in ours] == [sorted(x) for x in ref]
 
     def test_agrees_with_census_on_the_nonagon(self, census9):
         r = ps.sweep_period3(3)
         assert r.axial_classes == census9.axial_classes
         assert r.circular_classes == census9.circular_classes
         assert r.regular_classes == census9.regular_classes
-
-    def test_jobs_do_not_change_results(self, monkeypatch, always_pool):
-        # jobs = 6 at m = 3 is above n // 2 = 4, the most first sides there
-        # are to interleave; the shards run on at most two workers
-        monkeypatch.setattr(oracle, "_usable_cpus", lambda: 2)
-        for m, jobs, shards in [(5, 4, 4), (3, 6, 4)]:
-            tasks = sweep_tasks(m, jobs)
-            assert len(tasks) == shards
-            half = 3 * m // 2
-            firsts = sorted(a for _, first, step in tasks for a in range(first, half + 1, step))
-            assert firsts == list(range(1, half + 1))
-            one = ps.sweep_period3(m)
-            many = ps.sweep_period3(m, jobs=jobs)
-            assert one.axial_classes == many.axial_classes
-            assert one.circular_classes == many.circular_classes
-            assert one.regular_classes == many.regular_classes
-            assert one.other_count == many.other_count
 
     @pytest.mark.parametrize("m", range(3, 9))
     def test_matches_per_triple_reference(self, m):
@@ -352,56 +330,6 @@ class TestSweep:
     def test_theorem_blocks_match_block_kernel(self, m):
         assert theorem_axial_blocks(m) == reference_theorem_blocks(m, "axial")
         assert theorem_circular_blocks(m) == reference_theorem_blocks(m, "circular")
-
-
-def untimed(reports):
-    return [dataclasses.replace(r, elapsed=0.0) for r in reports]
-
-
-class TestSweepReports:
-    """One dispatch for a range of m: the same reports as one
-    ``sweep_period3`` per m, whatever runs the shards."""
-
-    def test_own_pool_matches_serial_per_m(self, monkeypatch, always_pool):
-        monkeypatch.setattr(oracle, "_usable_cpus", lambda: 2)
-        ms = range(3, 13)
-        assert untimed(oracle.sweep_reports(ms, 2)) == untimed(map(ps.sweep_period3, ms))
-
-    def test_serial_reports_are_lazy(self, monkeypatch):
-        # one usable CPU: jobs = 2 runs its two shards per m in this process
-        monkeypatch.setattr(oracle, "_usable_cpus", lambda: 1)
-        calls = []
-        real = oracle._sweep_shard
-
-        def counting(task):
-            calls.append(task)
-            return real(task)
-
-        monkeypatch.setattr(oracle, "_sweep_shard", counting)
-        reports = oracle.sweep_reports(range(3, 6), 2)
-        assert calls == []
-        assert next(reports).n == 9
-        assert calls == sweep_tasks(3, 2)
-        assert [r.n for r in reports] == [12, 15]
-        assert len(calls) == 6
-
-    def test_empty_range(self):
-        assert list(oracle.sweep_reports([], 2)) == []
-
-    def test_arguments_checked_before_any_report(self):
-        with pytest.raises(MTooSmall):
-            oracle.sweep_reports([3, 2])
-        with pytest.raises(ValueError, match="jobs"):
-            oracle.sweep_reports([3], 0)
-
-    def test_closing_shuts_own_pool_down(self, monkeypatch, always_pool):
-        monkeypatch.setattr(oracle, "_usable_cpus", lambda: 2)
-        before = set(multiprocessing.active_children())
-        reports = oracle.sweep_reports(range(3, 9), 2)
-        assert next(reports).n == 9
-        assert set(multiprocessing.active_children()) > before
-        reports.close()
-        assert set(multiprocessing.active_children()) <= before
 
 
 class TestFastPathsAgainstGeometry:

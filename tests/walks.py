@@ -233,12 +233,11 @@ def reference_sweep(m: int):
     return axial, circular, regular, len(other)
 
 
-def reference_sweep_shard(task: tuple[int, int, int]):
-    """``oracle._sweep_shard`` one candidate at a time: every orbit-least
-    candidate (a, b, c) with a + b + c = 0 mod 3 is checked against bit
-    rows of the walked sets, one row per sum, and the three class lists
-    come out in the same order."""
-    m, first, step = task
+def reference_sweep_shard(m: int):
+    """``oracle._sweep_shard(m)`` one candidate at a time: every
+    orbit-least candidate (a, b, c) with a + b + c = 0 mod 3 is checked
+    against bit rows of the walked sets, one row per sum, and the three
+    class lists come out in the same order."""
     n = 3 * m
     full = (1 << n) - 1
     rows = [None] * n
@@ -253,7 +252,7 @@ def reference_sweep_shard(task: tuple[int, int, int]):
         else:
             rows[s] = [((bits << j) | (bits >> (n - j))) & full for j in range(n)]
     axial, circular, regular = [], [], []
-    for a in range(first, n // 2 + 1, step):
+    for a in range(1, n // 2 + 1):
         top = n - a
         for b in range(a, top + 1):
             ab = a + b
