@@ -3,25 +3,27 @@
 Two independent searches back the closed formulas:
 
 * ``sweep_period3`` covers every raw generator triple (a, b, c) in
-  [1, n-1]^3 with no arithmetic filtering: it checks the least triple
-  of every orbit under the block's cyclic shifts and reversed
-  complement against the walked sets, keeps the valid walks, and
-  classifies them geometrically;
+  [1, n-1]^3 with no arithmetic filtering: for each row (a, b) of least
+  triples of the orbits under the block's cyclic shifts and reversed
+  complement, the walked sets decide every third side c at once as one
+  mask, and the row keeps each class as bit c, in its family's row map;
 * ``census_full`` covers every Hamiltonian cycle on n circle vertices
   (n <= 12): a depth-first search builds and classifies the cycles that
   can have a nontrivial rotation and counts the others by subtree size.
 
-Both report rotation classes by canonical side tuple.  ``verify_sweep``
-and ``verify_census`` compare a finished report with the closed formulas,
-the theorem enumerators and each other, and return the record that
-``polysym verify`` prints.  The sweep runs in this process.  The census
-is split into deterministic shards, one per second vertex, whose
-results merge by plain set union, so its report does not depend on the
-worker count.  ``_run_shards`` is the one place that starts worker
-processes.  The census estimates its serial work from n; when the
-workers would save less than a pool costs to start (``POOL_START_S``)
-its shards run in this process, and otherwise it opens a pool of its
-own and closes it when its last shard result is taken.
+Both report rotation classes by canonical block: the sweep as
+``RowBlocks`` over its row maps, the census as sets of canonical side
+tuples.  ``verify_sweep`` and ``verify_census`` compare a finished
+report with the closed formulas, the theorem enumerators and each
+other, and return the record that ``polysym verify`` prints.  The
+sweep runs in this process.  The census is split into deterministic
+shards, one per second vertex, whose results merge by plain set union,
+so its report does not depend on the worker count.  ``_run_shards`` is
+the one place that starts worker processes.  The census estimates its
+serial work from n; when the workers would save less than a pool costs
+to start (``POOL_START_S``) its shards run in this process, and
+otherwise it opens a pool of its own and closes it when its last shard
+result is taken.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ import itertools
 import math
 import os
 import time
-from collections.abc import Iterator, Mapping
+from collections.abc import Iterator, Mapping, Set
 from dataclasses import dataclass, field
 
 from .classification import FamilyTag, family_of
@@ -70,15 +72,62 @@ class VerificationError(Exception):
     """A brute-force check contradicted a formula or theorem."""
 
 
+class RowBlocks(Set):
+    """A read-only set of 3-blocks (a, b, c) kept as rows: bit c of
+    ``rows[(a, b)]`` is set for each block, and no row is 0, so two
+    ``RowBlocks`` are equal exactly when their row maps are.  It compares
+    equal to any other set with the same blocks and hashes like the
+    ``frozenset`` of them; ``-``, ``|``, ``&`` and ``^`` return a
+    ``frozenset``."""
+
+    __slots__ = ("rows",)
+
+    def __init__(self, rows: dict[tuple[int, int], int]):
+        self.rows = rows
+
+    @classmethod
+    def _from_iterable(cls, it) -> frozenset:
+        return frozenset(it)
+
+    def __len__(self) -> int:
+        return sum(mask.bit_count() for mask in self.rows.values())
+
+    def __contains__(self, block) -> bool:
+        if not (isinstance(block, tuple) and len(block) == 3):
+            return False
+        a, b, c = block
+        if not (isinstance(c, int) and c >= 0):
+            return False
+        return bool(self.rows.get((a, b), 0) >> c & 1)
+
+    def __iter__(self) -> Iterator[tuple[int, int, int]]:
+        for (a, b), mask in self.rows.items():
+            while mask:
+                low = mask & -mask
+                mask ^= low
+                yield a, b, low.bit_length() - 1
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, RowBlocks):
+            return self.rows == other.rows
+        return Set.__eq__(self, other)
+
+    def __hash__(self) -> int:
+        return self._hash()
+
+    def __repr__(self) -> str:
+        return f"RowBlocks({self.rows!r})"
+
+
 @dataclass(frozen=True)
 class OracleReport:
     """Classes found by one brute-force search.
 
     Each class is stored as a block whose repetition is its canonical
-    side tuple: the canonical 3-block for the sweep, the whole canonical
-    side tuple for the census.  ``axial_classes``, ``circular_classes``
-    and ``regular_classes`` are those side tuples as ``SideTuple``s,
-    built on first access.  ``census_size`` is the size of the space
+    side tuple: the canonical 3-block for the sweep (in ``RowBlocks``),
+    the whole canonical side tuple for the census (in frozensets).
+    ``axial_classes``, ``circular_classes`` and ``regular_classes`` are
+    those side tuples as ``SideTuple``s, built on first access.  ``census_size`` is the size of the space
     the search covers: the (n-1)^3 generator triples for the sweep
     (which walks only the least triple of each orbit), the undirected
     Hamiltonian cycles for the census.  ``other_count`` is the number
@@ -90,21 +139,25 @@ class OracleReport:
     without an equal number of rotations, so near-miss family members
     cannot pass unnoticed.
     ``stats`` holds stage counters: for the census ``cycles``,
-    ``screened_out`` and ``profiled``; empty for the sweep.
+    ``screened_out`` and ``profiled``; for the sweep the ``rows`` (a, b)
+    the walk kernel decided, the valid ``candidates`` in them, those an
+    image ``beaten``, and the classes kept per family (``axial``,
+    ``circular``, ``regular``), which sum with ``beaten`` to
+    ``candidates``.
     ``elapsed`` is the wall time of the search, including the census's
     pool when it opens one.
     """
 
     n: int
-    axial_blocks: frozenset[tuple[int, ...]]
-    circular_blocks: frozenset[tuple[int, ...]]
-    regular_blocks: frozenset[tuple[int, ...]]
+    axial_blocks: Set[tuple[int, ...]]
+    circular_blocks: Set[tuple[int, ...]]
+    regular_blocks: Set[tuple[int, ...]]
     other_count: int
     census_size: int
     elapsed: float
     stats: Mapping[str, int] = field(default_factory=dict, hash=False)
 
-    def _classes(self, blocks: frozenset[tuple[int, ...]]) -> frozenset[SideTuple]:
+    def _classes(self, blocks: Set[tuple[int, ...]]) -> frozenset[SideTuple]:
         return frozenset(SideTuple(self.n, k * (self.n // len(k))) for k in blocks)
 
     @functools.cached_property
@@ -246,11 +299,14 @@ def _third_sides(sets: list[tuple[list[int], list[int]]], n: int, a: int) -> lis
 
 
 def _sweep_shard(m: int):
-    """Scan the orbit-least candidates (a, b, c) of the sweep at m, for
-    every first side a = 1 .. n // 2; returns the canonical 3-blocks of
-    the axial, circular and regular classes found, as three lists (by the
-    lemma in ``block_symmetry``, no valid block falls in no family).  Each
-    candidate is scanned once, so no list repeats a block.
+    """Decide every row (a, b) of orbit-least candidates of the sweep at m,
+    for each first side a = 1 .. n // 2; returns the axial, circular and
+    regular classes found, as three row maps {(a, b): c-mask} holding the
+    canonical 3-block (a, b, c) of each class as bit c of row (a, b) (by
+    the lemma in ``block_symmetry``, no valid block falls in no family),
+    and the counters: the ``rows`` decided, the valid ``candidates`` in
+    them and the candidates an image ``beaten``.  No row map holds a
+    zero mask.
 
     Validity and class are invariant under the six images of a block (its
     cyclic shifts and those of its reversed complement), so each orbit is
@@ -259,27 +315,42 @@ def _sweep_shard(m: int):
     run over a <= n // 2 and a <= b, c <= n - a.  For each (a, b) the walk
     kernel gives every c that makes a valid walk as one mask
     (``_third_sides``); cut to the window [a, n - a], its set bits are the
-    valid candidates, and only they are visited, in increasing c.
-    An image can only tie or beat a candidate when it also starts with
-    a, and then the full six-image minimum decides.
+    valid candidates.  An image can only tie or beat a candidate when it
+    also starts with a, and then the full six-image minimum decides.  In a
+    row with a < b < n - a that can only happen at c = a or c = n - a (and
+    then a < n - a too), so only those bits are tested; a special row,
+    b = a or b = n - a, tests every bit.  (At a = n / 2 the only row is
+    b = a.)  The class is read off the row, as ``block_symmetry``'s profile:
+    the reversal is a shift of a valid block exactly when two sides are
+    equal (m axes; all three equal is the regular star), and its
+    complement and reversed complement never are.  So in a row with
+    b = a, bit a is regular and the rest axial; in any other row, bits a
+    and b are axial and the rest circular.
     """
     n = 3 * m
     sets = _walk_sets(m)
-    axial: list = []
-    circular: list = []
-    regular: list = []
+    axial: dict[tuple[int, int], int] = {}
+    circular: dict[tuple[int, int], int] = {}
+    regular: dict[tuple[int, int], int] = {}
+    rows = candidates = beaten = 0
     for a in range(1, n // 2 + 1):
         top = n - a
         window = (1 << (top + 1)) - (1 << a)
+        ends = 1 << a | 1 << top
         thirds = _third_sides(sets, n, a)
+        rows += top + 1 - a
         for b in range(a, top + 1):
-            cs = thirds[(a + b) % n] & window
-            while cs:
-                low = cs & -cs
-                cs ^= low
+            row = thirds[(a + b) % n] & window
+            if not row:
+                continue
+            candidates += row.bit_count()
+            ties = row if b == a or b == top else row & ends
+            while ties:
+                low = ties & -ties
+                ties ^= low
                 c = low.bit_length() - 1
                 t = (a, b, c)
-                if (b == a or c == a or b == top or c == top or 2 * a == n) and t != min(
+                if t != min(
                     t,
                     (b, c, a),
                     (c, a, b),
@@ -287,18 +358,17 @@ def _sweep_shard(m: int):
                     (n - b, n - a, n - c),
                     (n - a, n - c, n - b),
                 ):
-                    continue
-                # block_symmetry's profile, read off directly: the reversal
-                # is a shift of a valid block exactly when two sides are equal
-                # (m axes; all three equal is the regular star), and its
-                # complement and reversed complement never are
-                if a == b == c:
-                    regular.append(t)
-                elif a == b or b == c or a == c:
-                    axial.append(t)
-                else:
-                    circular.append(t)
-    return axial, circular, regular
+                    row ^= low
+                    beaten += 1
+            two = row & (1 << a | 1 << b)  # c repeats a side
+            rest = row ^ two
+            repeat, other = (regular, axial) if b == a else (axial, circular)
+            if two:
+                repeat[a, b] = two
+            if rest:
+                other[a, b] = rest
+    counts = {"rows": rows, "candidates": candidates, "beaten": beaten}
+    return axial, circular, regular, counts
 
 
 def sweep_period3(m: int, jobs: int = 1) -> OracleReport:
@@ -307,23 +377,33 @@ def sweep_period3(m: int, jobs: int = 1) -> OracleReport:
     The orbits of all (n-1)^3 generator triples are covered; no residue
     or gcd conditions are applied, so the result is independent of the
     enumeration module.  The sweep runs in this process, as one
-    ``_sweep_shard(m)``.  ``jobs`` must be at least 1 and is otherwise
+    ``_sweep_shard(m)``, and its class sets are ``RowBlocks`` over that
+    shard's row maps.  ``stats`` holds the shard's counters and the
+    classes kept per family, so ``candidates == beaten + axial +
+    circular + regular``.  ``jobs`` must be at least 1 and is otherwise
     not read: worker processes serve the census only.
     """
     _require_family_m(m)
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     start = time.perf_counter()
-    axial, circular, regular = _sweep_shard(m)
+    *found, counts = _sweep_shard(m)
+    axial, circular, regular = map(RowBlocks, found)
     n = 3 * m
     return OracleReport(
         n=n,
-        axial_blocks=frozenset(axial),
-        circular_blocks=frozenset(circular),
-        regular_blocks=frozenset(regular),
+        axial_blocks=axial,
+        circular_blocks=circular,
+        regular_blocks=regular,
         other_count=0,
         census_size=(n - 1) ** 3,
         elapsed=time.perf_counter() - start,
+        stats={
+            **counts,
+            "axial": len(axial),
+            "circular": len(circular),
+            "regular": len(regular),
+        },
     )
 
 
@@ -547,7 +627,7 @@ def census_full(n: int, jobs: int = 1) -> OracleReport:
 # cross-checks against the formulas, the enumeration module and each other
 
 
-def theorem_axial_blocks(m: int) -> frozenset[tuple[int, int, int]]:
+def theorem_axial_blocks(m: int) -> RowBlocks:
     """Canonical length-3 blocks of the classes enumerate_axial lists.
 
     The canonical block is the least of the six images of (a, b, a): its
@@ -556,34 +636,53 @@ def theorem_axial_blocks(m: int) -> frozenset[tuple[int, int, int]]:
     are 2 mod 3, so the two kinds of image never tie: the least
     starts with min(a, b) when that is below n - max(a, b), that is when
     a + b < n, and with n - max(a, b) otherwise.  So each class takes
-    O(1), with no ``block_symmetry`` call.
+    O(1), with no ``block_symmetry`` call: one bit set in the row of the
+    block's first two entries.
     """
     _require_family_m(m)
     n = 3 * m
-    return frozenset(
-        ((a, a, b) if a < b else (b, a, a))
-        if a + b < n
-        else ((n - b, n - a, n - a) if a < b else (n - a, n - a, n - b))
-        for a, b, _ in _axial_pairs(m)
-    )
+    rows: dict[tuple[int, int], int] = {}
+    for a, b, _ in _axial_pairs(m):
+        if a + b < n:
+            key, c = ((a, a), b) if a < b else ((b, a), a)
+        else:
+            key, c = ((n - b, n - a), n - a) if a < b else ((n - a, n - a), n - b)
+        rows[key] = rows.get(key, 0) | 1 << c
+    return RowBlocks(rows)
 
 
-def theorem_circular_blocks(m: int) -> frozenset[tuple[int, int, int]]:
+def theorem_circular_blocks(m: int) -> RowBlocks:
     """Canonical length-3 blocks of the classes enumerate_circular lists.
 
     By the residue argument of ``theorem_axial_blocks``, the least of the
     six images of the least-shift triple (a, b, c) (a < b, a < c) is
     (a, b, c) itself when a < n - max(b, c), and otherwise the shift of
     the reversed complement (n-c, n-b, n-a) that starts with n - max(b, c).
+    The triples come in increasing (a, b, c), so the kept ones fill one
+    row (a, b) at a time as a running mask.  A reflected block starts with
+    an entry that is 2 mod 3 and a kept one with a, which is 1 mod 3, so
+    their rows never meet; several reflected blocks can share a row.
     """
     _require_family_m(m)
     n = 3 * m
-    return frozenset(
-        (a, b, c)
-        if a + max(b, c) < n
-        else ((n - b, n - a, n - c) if b > c else (n - c, n - b, n - a))
-        for a, b, c, _ in _circular_triples(m)
-    )
+    rows: dict[tuple[int, int], int] = {}
+    row_a = row_b = mask = 0
+    for a, b, c, _ in _circular_triples(m):
+        if a + b < n > a + c:
+            if b != row_b or a != row_a:
+                if mask:
+                    rows[row_a, row_b] = mask
+                row_a, row_b, mask = a, b, 0
+            mask |= 1 << c
+        elif b > c:
+            key = (n - b, n - a)
+            rows[key] = rows.get(key, 0) | 1 << (n - c)
+        else:
+            key = (n - c, n - b)
+            rows[key] = rows.get(key, 0) | 1 << (n - a)
+    if mask:
+        rows[row_a, row_b] = mask
+    return RowBlocks(rows)
 
 
 def _found(report: OracleReport) -> dict[str, int]:
@@ -598,8 +697,11 @@ def verify_sweep(report: OracleReport) -> dict:
     """Check a ``sweep_period3`` report against the closed counts and the
     theorem enumerators; returns its ``verify`` record.
 
-    Both sides name each class by its canonical 3-block.  Raises
-    VerificationError at the first mismatch.
+    Both sides name each class by its canonical 3-block and keep the
+    classes as ``RowBlocks``, so the counts are popcounts and each class
+    set comparison compares two row maps of ints, with no tuple per
+    class; a report whose blocks are another kind of set is compared as
+    a set.  Raises VerificationError at the first mismatch.
     """
     m = report.n // 3
     found = _found(report)

@@ -128,6 +128,7 @@ def enumerate_argv(m: int, family: str, fmt: str) -> list[str]:
 VERIFY_ARGV = {
     "sweep/jobs1": ["--mode", "sweep", "--m", "3..30", "--jobs", "1"],
     "sweep/jobs2": ["--mode", "sweep", "--m", "3..30", "--jobs", "2"],
+    "sweep/100": ["--mode", "sweep", "--m", "100"],
     "gcd": ["--mode", "gcd", "--m", "3..20"],
     "identity": ["--mode", "identity", "--m", "3..100"],
     "census/9": ["--mode", "census", "--n", "9"],
@@ -282,6 +283,7 @@ ENUMERATE_GOLDEN = {
 VERIFY_GOLDEN = {
     "sweep/jobs1": "3d39c7db52a2918d37e96906e80f2fb4f14a5c6e7a9ca926bcc9b0f58c11ca11",
     "sweep/jobs2": "3d39c7db52a2918d37e96906e80f2fb4f14a5c6e7a9ca926bcc9b0f58c11ca11",
+    "sweep/100": "2c48b75a27df458f436657b55c755e6a6f653ddc4d745ab4abc889e9477afddc",
     "gcd": "5c574ed762818df665921bd41ba0023c02e6b7176e0805a722acd9e455cec8fe",
     "identity": "1460a0bca327f681d54c5d3d56df5bea634ca176a9b6bc6db5406fb916dcf151",
     "census/9": "c95366b95c5aab4a55d2f3c53e5c270113961a45e997598314d65fe482193421",

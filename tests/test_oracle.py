@@ -1,7 +1,9 @@
+import dataclasses
 import functools
 import math
 import multiprocessing
 import os
+from collections import Counter
 
 import pytest
 
@@ -17,6 +19,7 @@ from polysym import (
 )
 import polysym.oracle as oracle
 from polysym.oracle import (
+    RowBlocks,
     _scan_axial_count,
     _scan_circular_count,
     _sweep_shard,
@@ -32,6 +35,7 @@ from walks import (
     reference_axial_count,
     reference_census_shard,
     reference_circular_count,
+    reference_orbit_least,
     reference_sweep,
     reference_sweep_shard,
     reference_theorem_blocks,
@@ -196,9 +200,6 @@ class TestCensusKernel:
         assert census_tasks(n) == [(n, second) for second in range(1, n - 1)]
         assert reference_census_shard(n, n - 1)[4] == 0
 
-    def test_sweep_reports_no_stats(self):
-        assert ps.sweep_period3(3).stats == {}
-
 
 class TestCensus:
     @pytest.mark.parametrize("n", sorted(CENSUS_EXPECTED))
@@ -303,9 +304,43 @@ class TestSweep:
 
     @pytest.mark.parametrize("m", range(3, 41))
     def test_shards_match_per_candidate_reference(self, m):
-        ours = _sweep_shard(m)
+        ours = [RowBlocks(rows) for rows in _sweep_shard(m)[:3]]
         ref = reference_sweep_shard(m)
         assert [sorted(x) for x in ours] == [sorted(x) for x in ref]
+
+    @pytest.mark.parametrize("m", range(3, 13))
+    def test_row_rules_match_six_image_minimum_on_every_triple(self, m, monkeypatch):
+        # a kernel that lets every third side through: the row rules must
+        # then keep exactly the orbit-least triples, including the bits
+        # c = a and c = n - a that no valid walk sets in a generic row
+        n = 3 * m
+        every = [(1 << n) - 1] * n
+        monkeypatch.setattr(oracle, "_third_sides", lambda *args: every)
+        *found, counts = _sweep_shard(m)
+        ref = reference_orbit_least(n)
+        assert [sorted(RowBlocks(rows)) for rows in found] == [sorted(x) for x in ref]
+        assert counts["candidates"] - counts["beaten"] == sum(map(len, ref))
+
+    @pytest.mark.parametrize("m", range(3, 41))
+    def test_stats_count_every_candidate(self, m):
+        r = ps.sweep_period3(m)
+        s = r.stats
+        kept = {"axial", "circular", "regular"}
+        assert set(s) == {"rows", "candidates", "beaten", *kept}
+        n = 3 * m
+        assert s["rows"] == sum(n - 2 * a + 1 for a in range(1, n // 2 + 1))
+        assert s["candidates"] == s["beaten"] + sum(s[fam] for fam in kept)
+        assert s["axial"] == len(r.axial_blocks)
+        assert s["circular"] == len(r.circular_blocks)
+        assert s["regular"] == len(r.regular_blocks)
+
+    def test_stats_totals_to_thirty(self):
+        total = Counter()
+        for m in range(3, 31):
+            total.update(ps.sweep_period3(m).stats)
+        assert total["rows"] == 21259
+        assert total["candidates"] == 45182
+        assert total["axial"] + total["circular"] + total["regular"] == 42552
 
     def test_agrees_with_census_on_the_nonagon(self, census9):
         r = ps.sweep_period3(3)
@@ -330,6 +365,85 @@ class TestSweep:
     def test_theorem_blocks_match_block_kernel(self, m):
         assert theorem_axial_blocks(m) == reference_theorem_blocks(m, "axial")
         assert theorem_circular_blocks(m) == reference_theorem_blocks(m, "circular")
+
+
+class TestRowBlocks:
+    """The set type of the sweep's and the theorem's class sets: 3-blocks
+    kept as c-masks per row (a, b)."""
+
+    BLOCKS = frozenset({(1, 1, 4), (1, 1, 7), (1, 4, 7), (2, 5, 2), (4, 4, 4)})
+
+    @pytest.fixture
+    def rows(self):
+        return RowBlocks(
+            {(1, 1): 1 << 4 | 1 << 7, (1, 4): 1 << 7, (2, 5): 1 << 2, (4, 4): 1 << 4}
+        )
+
+    def test_len_in_and_iteration(self, rows):
+        assert len(rows) == 5
+        assert sorted(rows) == sorted(self.BLOCKS)
+        for t in self.BLOCKS:
+            assert t in rows
+        for t in [(1, 1, 5), (1, 4, 4), (9, 9, 9), (1, 1, 4, 1), (1, 1), (1, 1, -1)]:
+            assert t not in rows
+        assert "114" not in rows and None not in rows
+        assert len(RowBlocks({})) == 0 and list(RowBlocks({})) == []
+
+    def test_equal_to_a_frozenset_in_either_order(self, rows):
+        assert rows == self.BLOCKS and self.BLOCKS == rows
+        assert not rows != self.BLOCKS and not self.BLOCKS != rows
+        assert rows == set(self.BLOCKS)
+
+    @pytest.mark.parametrize("bit", [(1, 1, 4), (1, 4, 7), (4, 4, 4)])
+    def test_one_bit_differs_on_either_side(self, rows, bit):
+        fewer = self.BLOCKS - {bit}
+        more = self.BLOCKS | {(1, 4, 10)}
+        for other in (fewer, more, fewer | {(1, 4, 10)}):
+            assert rows != other and other != rows
+            assert not rows == other and not other == rows
+        a, b, c = bit
+        masks = dict(rows.rows)
+        masks[a, b] ^= 1 << c
+        dropped = RowBlocks({k: v for k, v in masks.items() if v})
+        assert dropped == fewer and fewer == dropped
+        assert dropped != rows and rows != dropped
+        added = RowBlocks({**rows.rows, (1, 4): rows.rows[1, 4] | 1 << 10})
+        assert added == more and added != rows and rows != added
+
+    def test_equal_rows_compare_as_dicts(self, rows):
+        assert rows == RowBlocks(dict(reversed(list(rows.rows.items()))))
+        assert rows != RowBlocks({**rows.rows, (2, 5): 1 << 5})
+
+    def test_operators_return_frozensets(self, rows):
+        for result, want in [
+            (rows - {(1, 1, 4)}, self.BLOCKS - {(1, 1, 4)}),
+            (rows | {(0, 0, 0)}, self.BLOCKS | {(0, 0, 0)}),
+            ({(0, 0, 0)} | rows, self.BLOCKS | {(0, 0, 0)}),
+            (rows & {(1, 1, 4), (3, 3, 3)}, frozenset({(1, 1, 4)})),
+        ]:
+            assert type(result) is frozenset and result == want
+        assert min(rows) == (1, 1, 4)
+
+    def test_hash_matches_frozenset(self, rows):
+        assert hash(rows) == hash(self.BLOCKS)
+        assert len({rows, self.BLOCKS}) == 1
+
+    def test_reports_stay_hashable(self):
+        r = ps.sweep_period3(4)
+        again = dataclasses.replace(ps.sweep_period3(4), elapsed=r.elapsed)
+        assert again == r and hash(again) == hash(r)
+
+    @pytest.mark.parametrize("m", [3, 4, 10])
+    def test_report_blocks_are_row_backed(self, m):
+        r = ps.sweep_period3(m)
+        for blocks, theorem in (
+            (r.axial_blocks, theorem_axial_blocks(m)),
+            (r.circular_blocks, theorem_circular_blocks(m)),
+        ):
+            assert type(blocks) is RowBlocks and type(theorem) is RowBlocks
+            assert blocks.rows == theorem.rows
+            assert 0 not in blocks.rows.values()
+        assert type(r.regular_blocks) is RowBlocks
 
 
 class TestFastPathsAgainstGeometry:

@@ -1,10 +1,10 @@
 """Side tuples of walks with a prescribed symmetry, drawn from a seeded RNG,
 per-triple reference versions of the oracle's walk check, sweep, sweep
-shard and gcd verifier, a block-kernel reference for its theorem class
-sets, a per-permutation reference version of its census shard, per-pair
-and per-triple reference versions of its identity counts, and per-record
-and per-cell reference versions of the ``enumerate`` and ``render``
-output.
+shard, the shard's row rules and gcd verifier, a block-kernel reference
+for its theorem class sets, a per-permutation reference version of its
+census shard, per-pair and per-triple reference versions of its identity
+counts, and per-record and per-cell reference versions of the
+``enumerate`` and ``render`` output.
 
 Shared by the golden-output, kernel, oracle, CLI and render tests.  Every
 generator returns the sides of a valid walk on n vertices as a list.
@@ -260,6 +260,29 @@ def reference_sweep_shard(m: int):
                 r = rows[(ab + c) % n]
                 if r is None or (r[0] | r[a] | r[ab % n]) != full:
                     continue
+                t = (a, b, c)
+                rc = ((n - c, n - b, n - a), (n - b, n - a, n - c), (n - a, n - c, n - b))
+                if t != min(t, (b, c, a), (c, a, b), *rc):
+                    continue
+                if a == b == c:
+                    regular.append(t)
+                elif a == b or b == c or a == c:
+                    axial.append(t)
+                else:
+                    circular.append(t)
+    return axial, circular, regular
+
+
+def reference_orbit_least(n: int):
+    """Every triple (a, b, c) in [1, n-1]^3 that is the least of its six
+    images (its cyclic shifts and those of its reversed complement),
+    valid walk or not, split as ``oracle._sweep_shard`` splits its classes:
+    three sides equal, two equal, all distinct.  The reference for the
+    shard's row rules when the walk kernel lets every third side through."""
+    axial, circular, regular = [], [], []
+    for a in range(1, n):
+        for b in range(1, n):
+            for c in range(1, n):
                 t = (a, b, c)
                 rc = ((n - c, n - b, n - a), (n - b, n - a, n - c), (n - a, n - c, n - b))
                 if t != min(t, (b, c, a), (c, a, b), *rc):
