@@ -1,8 +1,9 @@
 """Command line front end.
 
-Exit codes: 0 success, 1 verification or validation failure, 2 usage
-error.  All output is deterministic; identical invocations produce
-byte-identical stdout and files.
+Exit codes: 0 success, 1 verification or validation failure (or an
+unwritable ``render`` target, or a stdout closed before the output
+ended), 2 usage error.  All output is deterministic; identical
+invocations produce byte-identical stdout and files.
 
 Building the parser imports no other polysym module: each subcommand
 imports the modules it runs, so a process pays only for its command.
@@ -12,7 +13,9 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
+import os
 import sys
 
 USAGE_ERROR = 2
@@ -73,12 +76,34 @@ def cmd_count(args) -> int:
     return 0
 
 
+# records per stdout write: the command holds one batch of records at a time
+ENUMERATE_BATCH = 256
+
+
+def _write_joined(head: str, rows, sep: str, tail: str) -> None:
+    """Write ``head``, the strings of the iterator ``rows`` joined by
+    ``sep``, and ``tail`` to stdout, one write per ``ENUMERATE_BATCH``
+    rows."""
+    write = sys.stdout.write
+    write(head)
+    lead = ""
+    while chunk := list(itertools.islice(rows, ENUMERATE_BATCH)):
+        write(lead + sep.join(chunk))
+        lead = sep
+    write(tail)
+
+
 def cmd_enumerate(args) -> int:
-    """One record per class, in class order, written out in one piece.
+    """One record per class, in class order, written as the class stream
+    yields them, a batch of records at a time.
 
     Each record's sides are its canonical 3-block repeated m times, so the
-    block's text is formatted once and repeated.  The JSON is the same as
-    ``json.dumps`` of the record dicts with compact separators.
+    block's text is formatted once and repeated.  Every class of a family
+    has the same equality pattern among its block's entries (a != b in
+    (a, b, a), three distinct entries in (a, b, c)), so one
+    ``block_symmetry`` call gives the profile of every record.  The JSON
+    is the same as ``json.dumps`` of the record dicts with compact
+    separators.
     """
     from . import enumeration, polygon_core
 
@@ -87,30 +112,30 @@ def cmd_enumerate(args) -> int:
         return _fail_usage(f"family polygons need m > 2, got m={m}")
     n = 3 * m
     family = args.family
-    if family == "axial":
-        reps = [((r.a, r.b), r.u) for r in enumeration.enumerate_axial(m)]
+    classes = enumeration.class_blocks(m, family)
+    first = next(classes)  # every family has a class at every m > 2
+    profile = polygon_core.block_symmetry(n, first[2]).profile
+    classes = itertools.chain([first], classes)
+    rot, axes = profile.rotation_order, profile.axis_count
+    if args.format == "json":
+        head = f'{{"n":{n},"m":{m},"family":"{family}","generators":['
+        tail = f',"rotation_order":{rot},"axis_count":{axes}}}'
+        rows = (
+            f'{head}{",".join(map(str, gens))}],"sides":['
+            f'{",".join([f"{x},{y},{z}"] * m)}],"u":{u}{tail}'
+            for gens, u, (x, y, z) in classes
+        )
+        _write_joined("[", rows, ",", "]\n")
     else:
-        reps = [((r.a, r.b, r.c), r.u) for r in enumeration.enumerate_circular(m)]
-    json_out = args.format == "json"
-    rows = [] if json_out else ["n,m,family,a,b,c,u,rotation_order,axis_count,sides"]
-    for gens, u in reps:
-        block = gens if len(gens) == 3 else (*gens, gens[0])
-        sym = polygon_core.block_symmetry(n, block)
-        x, y, z = sym.block
-        rot, axes = sym.profile.rotation_order, sym.profile.axis_count
-        if json_out:
-            sides = ",".join([f"{x},{y},{z}"] * m)
-            rows.append(
-                f'{{"n":{n},"m":{m},"family":"{family}",'
-                f'"generators":[{",".join(map(str, gens))}],"sides":[{sides}],'
-                f'"u":{u},"rotation_order":{rot},"axis_count":{axes}}}'
-            )
-        else:
-            sides = " ".join([f"{x} {y} {z}"] * m)
-            c = gens[2] if len(gens) == 3 else ""
-            rows.append(f"{n},{m},{family},{gens[0]},{gens[1]},{c},{u},{rot},{axes},{sides}")
-    text = "[" + ",".join(rows) + "]" if json_out else "\n".join(rows)
-    sys.stdout.write(text + "\n")
+        head = f"{n},{m},{family},"
+        tail = f",{rot},{axes},"
+        pad = "," if family == "axial" else ""  # axial records leave column c empty
+        rows = (
+            f'{head}{",".join(map(str, gens))}{pad},{u}{tail}'
+            f'{" ".join([f"{x} {y} {z}"] * m)}\n'
+            for gens, u, (x, y, z) in classes
+        )
+        _write_joined("n,m,family,a,b,c,u,rotation_order,axis_count,sides\n", rows, "", "")
     return 0
 
 
@@ -210,7 +235,10 @@ def cmd_verify(args) -> int:
 
 
 def cmd_render(args) -> int:
-    from . import enumeration, render
+    """Stream the gallery of one family into ``--out``: each class is drawn
+    as the class stream yields it, and the file appears only once it is
+    whole."""
+    from . import enumeration, polygon_core, render
 
     m = args.m
     if m <= 2:
@@ -226,18 +254,40 @@ def cmd_render(args) -> int:
         return _fail_usage(str(exc))
     if args.columns < 1:
         return _fail_usage(f"columns must be at least 1, got {args.columns}")
-    if args.family == "axial":
-        tuples = [enumeration.expand_axial(r) for r in enumeration.enumerate_axial(m)]
-    else:
-        tuples = [enumeration.expand_circular(r) for r in enumeration.enumerate_circular(m)]
-    doc = render.gallery_svg(tuples, columns=args.columns, opts=opts)
+    n = 3 * m
+    count = (
+        enumeration.count_axial(m) if args.family == "axial" else enumeration.count_circular(m)
+    )
+    cells = (
+        polygon_core.SideTuple(n, (gens if len(gens) == 3 else (*gens, gens[0])) * m)
+        for gens, _, _ in enumeration.class_blocks(m, args.family)
+    )
+    parts = render.gallery_parts(cells, count, columns=args.columns, opts=opts)
     try:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(doc)
-    except OSError as exc:
+        _write_atomically(args.out, parts)
+    except (OSError, ValueError) as exc:
         return _fail_check(f"cannot write {args.out}: {exc}")
-    print(f"wrote {args.out}: {len(tuples)} classes")
+    print(f"wrote {args.out}: {count} classes")
     return 0
+
+
+def _write_atomically(path: str, parts) -> None:
+    """Write the strings of ``parts`` to ``path`` through a temporary file
+    in the same directory, moved onto ``path`` once the last part is
+    written.  A failure midway removes the temporary file, so it leaves
+    no partial file and any earlier ``path`` as it was."""
+    directory, name = os.path.split(path)
+    temporary = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
+    try:
+        with open(temporary, "w", encoding="utf-8") as fh:
+            fh.writelines(parts)
+        os.replace(temporary, path)
+    except BaseException:
+        try:
+            os.remove(temporary)
+        except OSError:
+            pass
+        raise
 
 
 # ---------------------------------------------------------------------------
@@ -307,15 +357,41 @@ def _usage_errors() -> tuple[type[ValueError], ...]:
     return enumeration.MTooSmall, oracle.NTooSmall, oracle.NTooLarge
 
 
+def _stdout_reader_gone() -> bool:
+    """Whether the process's own stdout is a pipe whose reading end is
+    closed: a ``BrokenPipeError`` from anywhere else, or with ``sys.stdout``
+    replaced (as in-process callers do), is not a closed stdout."""
+    if sys.stdout is not sys.__stdout__:
+        return False
+    import select
+
+    poller = select.poll()
+    poller.register(sys.stdout.fileno(), select.POLLOUT)
+    return any(event & select.POLLERR for _, event in poller.poll(0))
+
+
 def main(argv: list[str] | None = None) -> int:
     try:
         args = _parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else USAGE_ERROR
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at exit
+        return code
     except _usage_errors() as exc:
         return _fail_usage(str(exc))
+    except BrokenPipeError:
+        if not _stdout_reader_gone():
+            raise
+        # The reader of stdout has gone (``polysym ... | head``).  As the
+        # ``signal`` module's docs advise, point fd 1 at devnull, so that
+        # the interpreter's flush of stdout at exit writes nowhere instead
+        # of failing again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return CHECK_FAILED
 
 
 if __name__ == "__main__":

@@ -154,6 +154,42 @@ def _circular_triples(m: int):
                     yield a, b, c, u
 
 
+def class_blocks(m: int, family: str):
+    """(generators, u, canonical 3-block) of every class of ``family``
+    ("axial" or "circular") for n = 3m, in class order, one at a time.
+
+    The block is the least of the six images of the walk's 3-block (its
+    cyclic shifts and those of its reversed complement), taken by residue
+    as ``oracle.theorem_axial_blocks`` and ``theorem_circular_blocks``
+    do: generators are 1 mod 3 and complemented entries n - x are 2 mod
+    3, so the least image is the least shift of the block itself when
+    min + max < n, and otherwise the shift of the reversed complement
+    that starts with n - max.
+    """
+    _check_m(m)
+    return _axial_blocks(m) if family == "axial" else _circular_blocks(m)
+
+
+def _axial_blocks(m: int):
+    n = 3 * m
+    for a, b, u in _axial_pairs(m):
+        if a + b < n:
+            block = (a, a, b) if a < b else (b, a, a)
+        else:
+            block = (n - b, n - a, n - a) if a < b else (n - a, n - a, n - b)
+        yield (a, b), u, block
+
+
+def _circular_blocks(m: int):
+    n = 3 * m
+    for a, b, c, u in _circular_triples(m):
+        if a + b < n > a + c:
+            block = (a, b, c)
+        else:
+            block = (n - b, n - a, n - c) if b > c else (n - c, n - b, n - a)
+        yield (a, b, c), u, block
+
+
 def enumerate_axial(m: int) -> list[AxialRep]:
     """All axial classes for n = 3m, a list in class order; each ordered
     pair (a, b) is one class."""

@@ -8,6 +8,7 @@ to even), so identical inputs yield byte-identical documents.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 from .classification import generators, side_period
@@ -129,21 +130,67 @@ def _caption_height(opts: RenderOptions) -> int:
     return max(10, opts.size_px // 24) + 14
 
 
-def _svg_doc(width: int, height: int, parts: list[str]) -> str:
-    head = (
+def _svg_head(width: int, height: int) -> str:
+    return (
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'viewBox="0 0 {width} {height}" width="{width}" height="{height}">'
+        f'viewBox="0 0 {width} {height}" width="{width}" height="{height}">\n'
+        f'<rect class="bg" x="0" y="0" width="{width}" height="{height}" fill="#ffffff"/>\n'
     )
-    bg = f'<rect class="bg" x="0" y="0" width="{width}" height="{height}" fill="#ffffff"/>'
-    return "\n".join([head, bg, *parts, "</svg>"]) + "\n"
 
 
 def polygon_svg(t: SideTuple, opts: RenderOptions | None = None) -> str:
     """A standalone SVG document of one polygon."""
     opts = opts if opts is not None else RenderOptions()
     size = opts.size_px
-    cell = ['<g class="cell">'] + _cell_elements(t, _frame(t.n, opts)) + ["</g>"]
-    return _svg_doc(size, size, cell)
+    cell = ['<g class="cell">', *_cell_elements(t, _frame(t.n, opts)), "</g>", "</svg>\n"]
+    return _svg_head(size, size) + "\n".join(cell)
+
+
+def gallery_parts(
+    ts: Iterable[SideTuple],
+    count: int,
+    columns: int = 3,
+    opts: RenderOptions | None = None,
+) -> Iterator[str]:
+    """The text of ``gallery_svg`` in pieces, as ``ts`` yields its polygons:
+    the document head, one string per cell, and the closing tag.
+
+    ``count`` is the number of polygons in ``ts``, which sizes the
+    document before the first cell is drawn; if ``ts`` ends after another
+    number, ValueError is raised in place of the closing tag.
+    """
+    if columns < 1:
+        raise ValueError(f"columns must be at least 1, got {columns}")
+    opts = opts if opts is not None else RenderOptions()
+    size = opts.size_px
+    cap = _caption_height(opts)
+    font = max(10, size // 24)
+    rows = (count + columns - 1) // columns
+    caption = (
+        f'<text class="caption" x="{_fmt(size / 2.0)}" y="{size + cap - 8}" '
+        f'font-size="{font}" font-family="sans-serif" fill="#1a1a1a" '
+        f'text-anchor="middle">'
+    )
+    yield _svg_head(columns * size, rows * (size + cap))
+    frames: dict[int, tuple[list[str], ...]] = {}
+    drawn = 0
+    for i, t in enumerate(ts):
+        frame = frames.get(t.n)
+        if frame is None:
+            frame = frames[t.n] = _frame(t.n, opts)
+        row, col = divmod(i, columns)
+        yield "\n".join(
+            [
+                f'<g class="cell" transform="translate({col * size},{row * (size + cap)})">',
+                *_cell_elements(t, frame),
+                f"{caption}{caption_for(t)}</text>",
+                "</g>\n",
+            ]
+        )
+        drawn = i + 1
+    if drawn != count:
+        raise ValueError(f"the gallery was sized for {count} cells but drew {drawn}")
+    yield "</svg>\n"
 
 
 def gallery_svg(
@@ -155,29 +202,4 @@ def gallery_svg(
 
     An empty list yields an empty (but valid) document.
     """
-    if columns < 1:
-        raise ValueError(f"columns must be at least 1, got {columns}")
-    opts = opts if opts is not None else RenderOptions()
-    size = opts.size_px
-    cap = _caption_height(opts)
-    font = max(10, size // 24)
-    rows = (len(ts) + columns - 1) // columns
-    caption = (
-        f'<text class="caption" x="{_fmt(size / 2.0)}" y="{size + cap - 8}" '
-        f'font-size="{font}" font-family="sans-serif" fill="#1a1a1a" '
-        f'text-anchor="middle">'
-    )
-    frames: dict[int, tuple[list[str], ...]] = {}
-    parts = []
-    for i, t in enumerate(ts):
-        frame = frames.get(t.n)
-        if frame is None:
-            frame = frames[t.n] = _frame(t.n, opts)
-        row, col = divmod(i, columns)
-        x = col * size
-        y = row * (size + cap)
-        parts.append(f'<g class="cell" transform="translate({x},{y})">')
-        parts.extend(_cell_elements(t, frame))
-        parts.append(f"{caption}{caption_for(t)}</text>")
-        parts.append("</g>")
-    return _svg_doc(columns * size, rows * (size + cap), parts)
+    return "".join(gallery_parts(ts, len(ts), columns, opts))

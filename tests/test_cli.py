@@ -1,5 +1,6 @@
 import argparse
 import dataclasses
+import itertools
 import json
 import multiprocessing
 import subprocess
@@ -10,6 +11,7 @@ import pytest
 
 import polysym as ps
 import polysym.cli as cli
+import polysym.enumeration as enumeration
 import polysym.oracle as oracle
 from polysym.cli import main
 
@@ -608,6 +610,53 @@ class TestRender:
         assert err == f"error: stroke_width must be finite, got {float(stroke)}\n"
         assert not out_path.exists()
 
+    # How the class stream is cut: the classes kept, then what it raises.
+    CUTS = {
+        "error": (3, RuntimeError("stream failed")),
+        "disk full": (3, OSError(28, "No space left on device")),
+        "short": (ps.count_circular(5) - 1, None),
+        "long": (ps.count_circular(5) + 1, None),
+    }
+
+    @pytest.mark.parametrize("existing", [False, True])
+    @pytest.mark.parametrize("cut", CUTS)
+    def test_failure_midway_leaves_the_target_as_it_was(
+        self, capfd, tmp_path, monkeypatch, cut, existing
+    ):
+        keep, error = self.CUTS[cut]
+        real = enumeration.class_blocks
+
+        def cut_stream(m, family):
+            yield from itertools.islice(itertools.cycle(real(m, family)), keep)
+            if error is not None:
+                raise error
+
+        monkeypatch.setattr(enumeration, "class_blocks", cut_stream)
+        out_path = tmp_path / "g.svg"
+        if existing:
+            out_path.write_bytes(b"<svg/>\n")
+        argv = ["render", "--m", "5", "--family", "circular", "--out", str(out_path)]
+        if isinstance(error, RuntimeError):
+            with pytest.raises(RuntimeError, match="stream failed"):
+                main(argv)
+        else:
+            rc, out, err = run(argv, capfd)
+            assert (rc, out) == (1, "")
+            assert err.startswith(f"FAIL: cannot write {out_path}: ")
+        assert [p.name for p in tmp_path.iterdir()] == (["g.svg"] if existing else [])
+        if existing:
+            assert out_path.read_bytes() == b"<svg/>\n"
+
+    def test_replaces_an_existing_target_whole(self, capfd, tmp_path):
+        out_path = tmp_path / "g.svg"
+        out_path.write_bytes(b"x" * 10**6)
+        argv = ["render", "--m", "4", "--family", "axial", "--out", str(out_path)]
+        assert run(argv, capfd)[0] == 0
+        assert [p.name for p in tmp_path.iterdir()] == ["g.svg"]
+        fresh = tmp_path / "fresh.svg"
+        assert run(argv[:-1] + [str(fresh)], capfd)[0] == 0
+        assert out_path.read_bytes() == fresh.read_bytes()
+
 
 class TestSharedParser:
     """``main`` builds its parser on the first call and reuses it."""
@@ -674,6 +723,24 @@ class TestTopLevel:
         rc1, out1, _ = run(["count", "--m", "3..12", "--format", "json"], capfd)
         rc2, out2, _ = run(["count", "--m", "3..12", "--format", "json"], capfd)
         assert out1 == out2
+
+    @pytest.mark.parametrize(
+        "argv", [["count", "--m", "3..5000"], ["enumerate", "--m", "60", "--family", "circular"]]
+    )
+    def test_closed_stdout_exits_one_without_a_traceback(self, argv):
+        # both outputs outgrow the pipe, so the command is still writing
+        # when the reader closes it after the first bytes (the JSON is one
+        # line)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "polysym.cli", *argv],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        assert proc.stdout.read1(64)
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 1
+        with proc.stderr:
+            assert proc.stderr.read() == b""
 
     def test_console_script_entry_point(self):
         proc = subprocess.run(

@@ -11,8 +11,11 @@ from polysym import (
     NotPrime,
     PrematureClosure,
     SideTuple,
+    SymmetryProfile,
     WalkError,
 )
+from polysym.enumeration import class_blocks
+from polysym.polygon_core import block_symmetry
 from expected_counts import EXPECTED_AXIAL, EXPECTED_CIRCULAR
 
 # Representative (a, b) generator pairs, frozen before the enumerator existed.
@@ -270,3 +273,31 @@ class TestCanonicalDistinctness:
             assert len(ax) == ps.count_axial(m)
             assert len(ci) == ps.count_circular(m)
             assert not ax & ci
+
+
+class TestClassBlocks:
+    """The class stream that ``enumerate`` and ``render`` write from holds
+    no validated rep, so it is pinned here to the validated reps and to
+    ``block_symmetry`` at every m the goldens and the benchmark use."""
+
+    @pytest.mark.parametrize("family", ["axial", "circular"])
+    def test_matches_the_validated_reps_and_block_symmetry(self, family):
+        for m in range(3, 41):
+            n = 3 * m
+            stream = list(class_blocks(m, family))
+            if family == "axial":
+                reps = [((r.a, r.b), r.u) for r in ps.enumerate_axial(m)]
+                walks = [(a, b, a) for (a, b), _, _ in stream]
+                profile = SymmetryProfile(m, m)
+            else:
+                reps = [((r.a, r.b, r.c), r.u) for r in ps.enumerate_circular(m)]
+                walks = [gens for gens, _, _ in stream]
+                profile = SymmetryProfile(m, 0)
+            assert [(gens, u) for gens, u, _ in stream] == reps
+            assert [block_symmetry(n, w)[:2] for w in walks] == [
+                (block, profile) for _, _, block in stream
+            ]
+
+    def test_rejects_m_too_small_before_the_first_class(self):
+        with pytest.raises(MTooSmall):
+            class_blocks(2, "axial")
