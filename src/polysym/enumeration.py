@@ -4,8 +4,10 @@ For n = 3m (m > 2) the axial polygons are exactly the walks with sides
 (a, b, a) repeated m times, and the circular ones those with sides
 (a, b, c) repeated, where a, b, c are congruent to 1 mod 3, lie in
 1..3m-2, and the winding number u is coprime to m.  Enumeration works
-directly from those arithmetic conditions; the oracle module provides
-the independent brute-force counterpart.
+directly from those arithmetic conditions, written once as one coprime
+mask per m: the class stream's generator rows and the theorem's rows of
+canonical blocks are windows of it.  The oracle module provides the
+independent brute-force counterpart.
 """
 
 from __future__ import annotations
@@ -125,83 +127,151 @@ class CircularRep:
             raise ValueError(f"u={u} shares a factor with m={m}")
 
 
-def _axial_pairs(m: int):
-    """(a, b, u) of every axial class, in increasing (a, b) order."""
-    for a in _generator_values(m):
-        for b in _generator_values(m):
-            if a == b:
-                continue
-            u = (2 * a + b) // 3
-            if math.gcd(u, m) == 1:
-                yield a, b, u
+def _coprime_steps(m: int) -> int:
+    """The gcd rule of both families as one mask: bit 3u is set for every
+    u in 1..3m-1 coprime to m.
 
-
-def _circular_triples(m: int):
-    """(a, b, c, u) of every circular class, in increasing (a, b, c) order.
-
-    The generators of a class are distinct, so its least cyclic shift
-    is the one that starts with the smallest: a < b and a < c.
+    A 3-block (a, b, c) whose entries share a residue 1 or 2 mod 3 closes
+    a class exactly when its winding number (a + b + c) / 3 is coprime to
+    m: for residue 1 that is the theorem, and a block of residue 2 is the
+    reversed complement of one of residue 1, whose winding number
+    3m - (a + b + c) / 3 has the same gcd with m.  So bit c of
+    ``steps >> (a + b)`` is set exactly when (a, b, c) closes a class, and
+    is set only for c of the residue of a and b.  Every row of the class
+    stream and of the canonical blocks is a window of this one mask
+    (``_row``).
     """
-    hi = 3 * m - 1
-    coprime = [math.gcd(u, m) == 1 for u in range(3 * m)]
-    for a in _generator_values(m):
-        for b in range(a + 3, hi, 3):
-            for c in range(a + 3, hi, 3):
-                if c == b:
-                    continue
-                u = (a + b + c) // 3
-                if coprime[u]:
-                    yield a, b, c, u
+    return sum(1 << 3 * u for u in range(1, 3 * m) if math.gcd(u, m) == 1)
+
+
+def _row(steps: int, a: int, b: int, lo: int, hi: int) -> int:
+    """Bits lo..hi of ``steps >> (a + b)``: the third entries c in lo..hi
+    for which (a, b, c) closes a class.  Callers keep lo <= hi + 1, so the
+    window is never negative."""
+    return steps >> (a + b) & ((2 << hi) - (1 << lo))
+
+
+def generator_rows(m: int, family: str):
+    """Every row of theorem generators of ``family`` for n = 3m, in
+    increasing order, as (head, mask) with no zero mask.
+
+    Axial: head (a,), and bit b of the mask for each class (a, b), that is
+    each residue-1 b != a with (2a + b) / 3 coprime to m.  Circular: head
+    (a, b) with a < b, and bit c for each class whose least cyclic shift
+    is (a, b, c): residue-1 c > a, c != b, with (a + b + c) / 3 coprime
+    to m.  Each mask is one ``_row`` of ``_coprime_steps(m)``, so the set
+    bits, read row by row from the lowest, are the classes in class order.
+    """
+    n = 3 * m
+    steps = _coprime_steps(m)
+    values = _generator_values(m)
+    if family == "axial":
+        for a in values:
+            row = _row(steps, a, a, 1, n - 2) & ~(1 << a)
+            if row:
+                yield (a,), row
+    else:
+        for a in values:
+            for b in range(a + 3, n - 1, 3):
+                row = _row(steps, a, b, a + 3, n - 2) & ~(1 << b)
+                if row:
+                    yield (a, b), row
+
+
+def block_rows(m: int, family: str) -> dict[tuple[int, int], int]:
+    """The canonical 3-block of every class of ``family`` for n = 3m, as a
+    row map: bit c of ``rows[(a, b)]`` is set for each block (a, b, c), and
+    no row is 0.
+
+    The canonical block is the least of the six images of a class's block:
+    its cyclic shifts and those of its reversed complement.  This is the
+    residue rule: the entries of one block share a residue, 1 mod 3 for
+    theorem generators and 2 for their complements n - x, so no two images
+    tie, and the least image (a, b, c) is the one that starts with the
+    least entry a of either kind.  So the canonical blocks are exactly the
+    blocks of residue 1 or 2 that close a class and have a <= b, a <= c and
+    b, c < n - a, and row (a, b) is the window a + 1 .. n - a - 1 of
+    ``_coprime_steps(m) >> (a + b)``:
+    - axial, one pair of equal entries: row (a, a) is the whole window, and
+      row (a, b) with a < b < n - a holds bit b alone;
+    - circular, three distinct entries: row (a, b) with a < b < n - a is the
+      window without bit b.
+    Each row is one big-int shift, so a family costs O(m^2) shifts, not a
+    step per class.  ``class_blocks`` takes each class's block by the same
+    rule.
+    """
+    _check_m(m)
+    n = 3 * m
+    steps = _coprime_steps(m)
+    rows: dict[tuple[int, int], int] = {}
+    for a in range(1, (n + 1) // 2):
+        if a % 3 == 0:
+            continue
+        if family == "axial":
+            row = _row(steps, a, a, a + 1, n - a - 1)
+            if row:
+                rows[a, a] = row
+        for b in range(a + 3, n - a, 3):
+            if family == "axial":
+                row = _row(steps, a, b, b, b)
+            else:
+                row = _row(steps, a, b, a + 1, n - a - 1) & ~(1 << b)
+            if row:
+                rows[a, b] = row
+    return rows
 
 
 def class_blocks(m: int, family: str):
     """(generators, u, canonical 3-block) of every class of ``family``
     ("axial" or "circular") for n = 3m, in class order, one at a time.
 
-    The block is the least of the six images of the walk's 3-block (its
-    cyclic shifts and those of its reversed complement), taken by residue
-    as ``oracle.theorem_axial_blocks`` and ``theorem_circular_blocks``
-    do: generators are 1 mod 3 and complemented entries n - x are 2 mod
-    3, so the least image is the least shift of the block itself when
-    min + max < n, and otherwise the shift of the reversed complement
-    that starts with n - max.
+    The classes are the set bits of ``generator_rows``.  The block is the
+    one ``block_rows`` keeps, by its residue rule: the least image of the
+    walk's 3-block is the least shift of the block itself when
+    min + max < n, and otherwise the shift of the reversed complement that
+    starts with n - max.
     """
     _check_m(m)
-    return _axial_blocks(m) if family == "axial" else _circular_blocks(m)
+    rows = generator_rows(m, family)
+    return _axial_blocks(3 * m, rows) if family == "axial" else _circular_blocks(3 * m, rows)
 
 
-def _axial_blocks(m: int):
-    n = 3 * m
-    for a, b, u in _axial_pairs(m):
-        if a + b < n:
-            block = (a, a, b) if a < b else (b, a, a)
-        else:
-            block = (n - b, n - a, n - a) if a < b else (n - a, n - a, n - b)
-        yield (a, b), u, block
+def _axial_blocks(n: int, rows):
+    for (a,), mask in rows:
+        while mask:
+            low = mask & -mask
+            mask ^= low
+            b = low.bit_length() - 1
+            if a + b < n:
+                block = (a, a, b) if a < b else (b, a, a)
+            else:
+                block = (n - b, n - a, n - a) if a < b else (n - a, n - a, n - b)
+            yield (a, b), (2 * a + b) // 3, block
 
 
-def _circular_blocks(m: int):
-    n = 3 * m
-    for a, b, c, u in _circular_triples(m):
-        if a + b < n > a + c:
-            block = (a, b, c)
-        else:
-            block = (n - b, n - a, n - c) if b > c else (n - c, n - b, n - a)
-        yield (a, b, c), u, block
+def _circular_blocks(n: int, rows):
+    for (a, b), mask in rows:
+        while mask:
+            low = mask & -mask
+            mask ^= low
+            c = low.bit_length() - 1
+            if a + b < n > a + c:
+                block = (a, b, c)
+            else:
+                block = (n - b, n - a, n - c) if b > c else (n - c, n - b, n - a)
+            yield (a, b, c), (a + b + c) // 3, block
 
 
 def enumerate_axial(m: int) -> list[AxialRep]:
     """All axial classes for n = 3m, a list in class order; each ordered
     pair (a, b) is one class."""
-    _check_m(m)
-    return [AxialRep(m, a, b, u) for a, b, u in _axial_pairs(m)]
+    return [AxialRep(m, *gens, u) for gens, u, _ in class_blocks(m, "axial")]
 
 
 def enumerate_circular(m: int) -> list[CircularRep]:
     """All circular classes for n = 3m, a list in class order, one
     least-shift triple per class."""
-    _check_m(m)
-    return [CircularRep(m, a, b, c, u) for a, b, c, u in _circular_triples(m)]
+    return [CircularRep(m, *gens, u) for gens, u, _ in class_blocks(m, "circular")]
 
 
 def expand_axial(r: AxialRep) -> SideTuple:

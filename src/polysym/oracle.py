@@ -39,8 +39,7 @@ from dataclasses import dataclass, field
 from .classification import FamilyTag, family_of
 from .enumeration import (
     MTooSmall,
-    _axial_pairs,
-    _circular_triples,
+    block_rows,
     count_axial,
     count_circular,
     euler_phi,
@@ -628,61 +627,17 @@ def census_full(n: int, jobs: int = 1) -> OracleReport:
 
 
 def theorem_axial_blocks(m: int) -> RowBlocks:
-    """Canonical length-3 blocks of the classes enumerate_axial lists.
-
-    The canonical block is the least of the six images of (a, b, a): its
-    cyclic shifts and those of its reversed complement (n-a, n-b, n-a).
-    Theorem generators are 1 mod 3 and the complemented entries n - x
-    are 2 mod 3, so the two kinds of image never tie: the least
-    starts with min(a, b) when that is below n - max(a, b), that is when
-    a + b < n, and with n - max(a, b) otherwise.  So each class takes
-    O(1), with no ``block_symmetry`` call: one bit set in the row of the
-    block's first two entries.
-    """
-    _require_family_m(m)
-    n = 3 * m
-    rows: dict[tuple[int, int], int] = {}
-    for a, b, _ in _axial_pairs(m):
-        if a + b < n:
-            key, c = ((a, a), b) if a < b else ((b, a), a)
-        else:
-            key, c = ((n - b, n - a), n - a) if a < b else ((n - a, n - a), n - b)
-        rows[key] = rows.get(key, 0) | 1 << c
-    return RowBlocks(rows)
+    """Canonical length-3 blocks of the classes enumerate_axial lists, as
+    the row map ``enumeration.block_rows(m, "axial")``: each row is one
+    window of the theorem's coprime mask, with no step per class."""
+    return RowBlocks(block_rows(m, "axial"))
 
 
 def theorem_circular_blocks(m: int) -> RowBlocks:
-    """Canonical length-3 blocks of the classes enumerate_circular lists.
-
-    By the residue argument of ``theorem_axial_blocks``, the least of the
-    six images of the least-shift triple (a, b, c) (a < b, a < c) is
-    (a, b, c) itself when a < n - max(b, c), and otherwise the shift of
-    the reversed complement (n-c, n-b, n-a) that starts with n - max(b, c).
-    The triples come in increasing (a, b, c), so the kept ones fill one
-    row (a, b) at a time as a running mask.  A reflected block starts with
-    an entry that is 2 mod 3 and a kept one with a, which is 1 mod 3, so
-    their rows never meet; several reflected blocks can share a row.
-    """
-    _require_family_m(m)
-    n = 3 * m
-    rows: dict[tuple[int, int], int] = {}
-    row_a = row_b = mask = 0
-    for a, b, c, _ in _circular_triples(m):
-        if a + b < n > a + c:
-            if b != row_b or a != row_a:
-                if mask:
-                    rows[row_a, row_b] = mask
-                row_a, row_b, mask = a, b, 0
-            mask |= 1 << c
-        elif b > c:
-            key = (n - b, n - a)
-            rows[key] = rows.get(key, 0) | 1 << (n - c)
-        else:
-            key = (n - c, n - b)
-            rows[key] = rows.get(key, 0) | 1 << (n - a)
-    if mask:
-        rows[row_a, row_b] = mask
-    return RowBlocks(rows)
+    """Canonical length-3 blocks of the classes enumerate_circular lists,
+    as the row map ``enumeration.block_rows(m, "circular")``: each row is
+    one window of the theorem's coprime mask, with no step per class."""
+    return RowBlocks(block_rows(m, "circular"))
 
 
 def _found(report: OracleReport) -> dict[str, int]:

@@ -14,7 +14,7 @@ from polysym import (
     SymmetryProfile,
     WalkError,
 )
-from polysym.enumeration import class_blocks
+from polysym.enumeration import class_blocks, generator_rows
 from polysym.polygon_core import block_symmetry
 from expected_counts import EXPECTED_AXIAL, EXPECTED_CIRCULAR
 
@@ -301,3 +301,43 @@ class TestClassBlocks:
     def test_rejects_m_too_small_before_the_first_class(self):
         with pytest.raises(MTooSmall):
             class_blocks(2, "axial")
+
+
+class TestGeneratorRows:
+    """The class stream's generator rows, each a window of the coprime mask
+    that the theorem's block rows read too, against a loop over the
+    generators one pair or triple at a time, for every m = 3..40.  A row that holds no class is left out.  The last
+    circular row (3m - 5, 3m - 2) has only c = b in its window, at every m;
+    at m = 4 the row (1, 7) has no c with (8 + c) / 3 coprime to 4.  The
+    windows are shortest at m = 3, 4 and 5, the first m of the loop."""
+
+    @staticmethod
+    def triple_loop(m: int, family: str) -> dict:
+        values = range(1, 3 * m - 1, 3)
+        rows: dict = {}
+        for a in values:
+            for b in values:
+                if family == "axial":
+                    if b != a and gcd((2 * a + b) // 3, m) == 1:
+                        rows[a,] = rows.get((a,), 0) | 1 << b
+                    continue
+                if b <= a:
+                    continue
+                for c in values:
+                    # pairwise distinct, least cyclic shift first
+                    if c > a and c != b and gcd((a + b + c) // 3, m) == 1:
+                        rows[a, b] = rows.get((a, b), 0) | 1 << c
+        return rows
+
+    @pytest.mark.parametrize("family", ["axial", "circular"])
+    def test_every_row_matches_the_triple_loop(self, family):
+        for m in range(3, 41):
+            rows = list(generator_rows(m, family))
+            want = self.triple_loop(m, family)
+            assert rows == sorted(want.items()), (m, family)
+
+    def test_rows_without_a_class_are_left_out(self):
+        assert list(generator_rows(3, "axial")) == [
+            ((1,), 1 << 4), ((4,), 1 << 7), ((7,), 1 << 1),
+        ]
+        assert list(generator_rows(3, "circular")) == [((1, 4), 1 << 7), ((1, 7), 1 << 4)]

@@ -1,9 +1,11 @@
 """The side-sequence symmetry kernel against the geometric definitions.
 
-The reference is the edge-set scan: a rotation or mirror is a symmetry
-when ``rotate_edges`` or ``reflect_edges`` maps the chord set onto
-itself.  The canonical form is pinned against the least of all 2n
-candidate slices, and the side period against the divisor loop.
+The reference is the chord scan ``walks.chord_symmetry``: a rotation or
+mirror is a symmetry when it maps every chord of the walk into its chord
+set.  That scan is pinned against the package's edge-set scan,
+``symmetry_profile``, which builds each image in full.  The canonical
+form is pinned against the least of all 2n candidate slices, and the
+side period against the divisor loop.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from polysym.polygon_core import (
     side_symmetry,
 )
 from walks import (
+    chord_symmetry,
     family_walk,
     mirrored_periodic_walk,
     mirrored_walk,
@@ -31,15 +34,6 @@ from walks import (
     slice_canonical,
     undirected_cycles,
 )
-
-
-def edge_reference(t: SideTuple) -> tuple[SymmetryProfile, tuple[int, ...]]:
-    """Profile and mirror axes of a valid walk by scanning its chord set:
-    the same scan as ``symmetry_profile``, with each mirror tried once."""
-    e = ps.edge_set(ps.validate_walk(t))
-    rotations = sum(1 for k in range(t.n) if ps.rotate_edges(e, k) == e)
-    axes = tuple(a for a in range(t.n) if ps.reflect_edges(e, a) == e)
-    return SymmetryProfile(rotations, len(axes)), axes
 
 
 def divisor_period(sides) -> int:
@@ -53,7 +47,7 @@ def divisor_period(sides) -> int:
 def assert_matches_reference(t: SideTuple) -> tuple[int, ...]:
     """Check the kernel against the references; return the mirror axes."""
     sym = side_symmetry(t.n, t.sides)
-    profile, axes = edge_reference(t)
+    profile, axes = chord_symmetry(t)
     assert sym.profile == profile, t
     assert sym.axes == axes, t
     assert sym.period == divisor_period(t.sides), t
@@ -68,6 +62,16 @@ class TestEveryCycle:
     def test_profile_axes_period_and_canonical_form(self, n):
         for t in undirected_cycles(n):
             assert_matches_reference(t)
+
+
+class TestChordScan:
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_matches_the_edge_set_scan(self, n):
+        for t in undirected_cycles(n):
+            e = ps.edge_set(ps.validate_walk(t))
+            profile, axes = chord_symmetry(t)
+            assert profile == ps.symmetry_profile(e), t
+            assert axes == tuple(a for a in range(n) if ps.reflect_edges(e, a) == e), t
 
 
 class TestEveryPeriodThreeBlock:
@@ -138,7 +142,7 @@ class TestEveryProperPeriod:
         if p > 2:
             walks.append(next(
                 sides for sides in (periodic_walk(rng, n, p) for _ in range(100))
-                if divisor_period(sides) == p and not edge_reference(SideTuple(n, tuple(sides)))[1]
+                if divisor_period(sides) == p and not chord_symmetry(SideTuple(n, tuple(sides)))[1]
             ))
         kinds = set()
         for sides in walks:

@@ -32,6 +32,7 @@ from polysym.oracle import (
 )
 from polysym.polygon_core import canonical_sides, side_symmetry
 from walks import (
+    chord_symmetry,
     reference_axial_count,
     reference_census_shard,
     reference_circular_count,
@@ -60,13 +61,13 @@ CENSUS_EXPECTED = {
 
 
 def generic_census(n):
-    """Slow reference census using only the geometric primitives."""
+    """Slow reference census using only the geometric chord scan."""
     axial, circular, regular = set(), set(), set()
     other = set()
     count = 0
     for t in undirected_cycles(n):
         count += 1
-        p = ps.symmetry_profile(ps.edge_set(ps.validate_walk(t)))
+        p, _ = chord_symmetry(t)
         if p.rotation_order == 1:
             continue
         c = ps.canonical_form(t)

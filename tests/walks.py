@@ -1,4 +1,5 @@
 """Side tuples of walks with a prescribed symmetry, drawn from a seeded RNG,
+the geometric chord-set scan that the symmetry kernel is checked against,
 per-triple reference versions of the oracle's walk check, sweep, sweep
 shard, the shard's row rules and gcd verifier, a block-kernel reference
 for its theorem class sets, a per-permutation reference version of its
@@ -16,7 +17,13 @@ import math
 import random
 from itertools import permutations
 
-from polysym import SideTuple, enumerate_axial, enumerate_circular, validate_walk
+from polysym import (
+    SideTuple,
+    SymmetryProfile,
+    enumerate_axial,
+    enumerate_circular,
+    validate_walk,
+)
 from polysym.polygon_core import block_symmetry, canonical_sides, side_symmetry
 
 
@@ -29,6 +36,31 @@ def undirected_cycles(n):
         yield SideTuple(
             n, tuple((verts[(i + 1) % n] - verts[i]) % n for i in range(n))
         )
+
+
+def chord_symmetry(t: SideTuple) -> tuple[SymmetryProfile, tuple[int, ...]]:
+    """Profile and mirror axes of a valid walk by the geometric definition:
+    the rotations v -> v + k and mirrors v -> a - v (a < n) that map its
+    chord set onto itself.
+
+    A rotation or mirror is a bijection on chords, so it fixes the set
+    exactly when it maps every chord into the set.  So each one maps the
+    chords one at a time and stops at the first chord that leaves the set,
+    instead of building the whole image (``polygon_core.symmetry_profile``).
+    """
+    n = t.n
+    verts = validate_walk(t).vertices
+    chords = [(verts[i - 1], verts[i]) for i in range(n)]
+    present = {p * n + q for p, q in chords} | {q * n + p for p, q in chords}
+    rotations = sum(
+        all((p + k) % n * n + (q + k) % n in present for p, q in chords)
+        for k in range(n)
+    )
+    axes = tuple(
+        a for a in range(n)
+        if all((a - p) % n * n + (a - q) % n in present for p, q in chords)
+    )
+    return SymmetryProfile(rotations, len(axes)), axes
 
 
 def slice_canonical(n: int, sides) -> tuple[int, ...]:
