@@ -185,11 +185,12 @@ _VERIFY_LINES = {
 def _verify_records(args) -> list[dict]:
     """The oracle's record for each m (and family) of the range, or for n.
 
-    ``--jobs`` sizes the census's pool; every other mode runs in-process."""
+    Every mode runs serially in this process; ``--jobs`` is checked by
+    ``cmd_verify`` and changes nothing."""
     from . import oracle
 
     if args.mode == "census":
-        return [oracle.verify_census(oracle.census_full(args.n, jobs=args.jobs))]
+        return [oracle.verify_census(oracle.census_full(args.n))]
     ms = range(args.m[0], args.m[1] + 1)
     if args.mode == "sweep":
         return [oracle.verify_sweep(oracle.sweep_period3(m)) for m in ms]

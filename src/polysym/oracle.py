@@ -15,15 +15,9 @@ Both report rotation classes by canonical block: the sweep as
 ``RowBlocks`` over its row maps, the census as sets of canonical side
 tuples.  ``verify_sweep`` and ``verify_census`` compare a finished
 report with the closed formulas, the theorem enumerators and each
-other, and return the record that ``polysym verify`` prints.  The
-sweep runs in this process.  The census is split into deterministic
-shards, one per second vertex, whose results merge by plain set union,
-so its report does not depend on the worker count.  ``_run_shards`` is
-the one place that starts worker processes.  The census estimates its
-serial work from n; when the workers would save less than a pool costs
-to start (``POOL_START_S``) its shards run in this process, and
-otherwise it opens a pool of its own and closes it when its last shard
-result is taken.
+other, and return the record that ``polysym verify`` prints.  Each
+search is one serial pass in this process; no code in the package
+starts a process, and ``jobs`` is checked but changes nothing.
 """
 
 from __future__ import annotations
@@ -31,7 +25,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import os
 import time
 from collections.abc import Iterator, Mapping, Set
 from dataclasses import dataclass, field
@@ -143,8 +136,7 @@ class OracleReport:
     image ``beaten``, and the classes kept per family (``axial``,
     ``circular``, ``regular``), which sum with ``beaten`` to
     ``candidates``.
-    ``elapsed`` is the wall time of the search, including the census's
-    pool when it opens one.
+    ``elapsed`` is the wall time of the search.
     """
 
     n: int
@@ -175,58 +167,6 @@ class OracleReport:
 def _require_family_m(m: int) -> None:
     if m <= 2:
         raise MTooSmall(m)
-
-
-# ---------------------------------------------------------------------------
-# worker pools
-
-
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on macOS and Windows
-        return os.cpu_count() or 1
-
-
-# Seconds to open and close a pool of forked workers: about 10 ms on a
-# 2 vCPU Xeon with Python 3.11 (``spawn`` re-imports the package in every
-# worker and costs about 0.2 s).  A census whose workers would save less
-# runs in this process; the sweep always does.
-POOL_START_S = 0.01
-
-
-def pool_size(jobs: int, shards: int, work: float) -> int:
-    """Worker processes for ``shards`` census tasks that take about ``work``
-    seconds in one process: ``jobs``, capped by the shard count and by the
-    CPUs this process may run on, or 1 (run serially) when that many
-    workers would save less than their pool costs to start.  k workers
-    save at most ``work * (1 - 1/k)``; the pool costs ``POOL_START_S``."""
-    if jobs < 1:
-        raise ValueError(f"jobs must be at least 1, got {jobs}")
-    size = min(jobs, shards, _usable_cpus())
-    return size if size > 1 and work * (1 - 1 / size) >= POOL_START_S else 1
-
-
-def _run_shards(shard, tasks: list[tuple], jobs: int, work: float) -> Iterator:
-    """``shard(task)`` for every task, yielded in order as each arrives;
-    ``work`` is the caller's estimate of the seconds the tasks take in one
-    process.
-
-    The only code that starts worker processes.  With one worker
-    (``pool_size(jobs, len(tasks), work)``) each task is computed in this
-    process when asked for; otherwise a pool of that size gets every task
-    in one ordered ``imap`` and lives until the last result is taken or
-    the generator is closed.  ``multiprocessing`` is imported only here,
-    when a pool opens, so a process that runs every search serially
-    never loads it."""
-    size = pool_size(jobs, len(tasks), work)
-    if size <= 1:
-        yield from map(shard, tasks)
-        return
-    import multiprocessing
-
-    with multiprocessing.Pool(size) as pool:
-        yield from pool.imap(shard, tasks)
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +320,7 @@ def sweep_period3(m: int, jobs: int = 1) -> OracleReport:
     shard's row maps.  ``stats`` holds the shard's counters and the
     classes kept per family, so ``candidates == beaten + axial +
     circular + regular``.  ``jobs`` must be at least 1 and is otherwise
-    not read: worker processes serve the census only.
+    not read.
     """
     _require_family_m(m)
     if jobs < 1:
@@ -410,15 +350,6 @@ def sweep_period3(m: int, jobs: int = 1) -> OracleReport:
 # full census of Hamiltonian cycles
 
 
-def census_tasks(n: int) -> list[tuple[int, int]]:
-    """The shards of ``census_full(n)``: one per second vertex 1..n-2.
-
-    A cycle 0 -> second -> ... -> last -> 0 is counted in the direction
-    with second < last, so second = n - 1 has no cycles and gets no shard.
-    """
-    return [(n, second) for second in range(1, n - 1)]
-
-
 def _max_periods(n: int) -> list[int]:
     """n / q for each prime q dividing n: the maximal proper periods."""
     return [
@@ -426,48 +357,25 @@ def _max_periods(n: int) -> list[int]:
     ]
 
 
-def _rotatable_cycles(n: int) -> int:
-    """An upper bound on the cycles ``census_full(n)`` builds, those with a
-    nontrivial rotation (the shards count the rest by subtree size).
-
-    By the conditions in ``_census_shard`` it is the sum of
-    * for each maximal period d = n / q (q prime), the cycles with
-      d-periodic sides, (d-1)! q^(d-1) (q-1) / 2: v_1 .. v_{d-1} take the
-      residues 1 .. d-1 mod d in some order, each in q ways, D = v_d is any
-      of the q - 1 nonzero multiples of d, and each cycle is met in both
-      directions;
-    * for even n, the cycles the half-turn reverses, (n/2)! 2^(n/2) / 4:
-      each is a path through one vertex of every antipodal pair followed
-      by the antipodes of that path backwards, and is met from 4 paths.
-    Cycles with both kinds of rotation are counted twice, 6 of them at
-    n = 12.
-    """
-    cycles = sum(
-        math.factorial(d - 1) * (n // d) ** (d - 1) * (n // d - 1) // 2
-        for d in _max_periods(n)
-    )
-    if n % 2 == 0:
-        cycles += math.factorial(n // 2) * 2 ** (n // 2) // 4
-    return cycles
-
-
 _OPEN = -1  # no antipodal pair placed yet, so k is still free
 _DEAD = -2  # no direction-reversing rotation on this branch
 
 
-def _census_shard(task: tuple[int, int]):
-    """Examine all cycles 0 -> second -> ... -> last -> 0 with second < last.
+def _census_search(n: int):
+    """Examine all cycles 0 -> second -> ... -> last -> 0 with second < last,
+    for each second vertex 1 .. n - 2.
 
-    Every undirected Hamiltonian cycle shows up exactly once across the
-    shards of ``census_tasks(n)`` (fixing start 0 kills rotation of the
-    start point, second < last kills direction).  Cycles whose chord set
-    has no rotation symmetry beyond the identity are Other by definition,
-    so only the others are built: a depth-first search places
-    v_0 = 0, v_1 = second, v_2, ... one position at a time and follows a
-    branch only while one of two necessary conditions for a nontrivial
-    rotation v -> v + t can still hold.  A dropped subtree with r >= 1
-    vertices left is counted by its size, (r-1)! * #{left v : v > second}.
-    With sides s_i = v_{i+1} - v_i and indices mod n:
+    Every undirected Hamiltonian cycle shows up exactly once (fixing
+    start 0 kills rotation of the start point, second < last kills
+    direction, and second = n - 1 leaves no greater last vertex).  Cycles
+    whose chord set has no rotation symmetry beyond the identity are
+    Other by definition, so only the others are built: a depth-first
+    search places v_0 = 0, v_1 = second, v_2, ... one position at a time
+    and follows a branch only while one of two necessary conditions for a
+    nontrivial rotation v -> v + t can still hold.  A dropped subtree with
+    r >= 1 vertices left is counted by its size,
+    (r-1)! * #{left v : v > second}.  With sides s_i = v_{i+1} - v_i and
+    indices mod n:
 
     * A rotation that keeps the direction makes the sides match a nonzero
       shift of themselves, so they repeat with some period p < n dividing
@@ -495,62 +403,70 @@ def _census_shard(task: tuple[int, int]):
 
     So the cycles reached are exactly those whose sides match a nonzero
     shift of themselves or a shift of their reversed complement, that is
-    the cycles with a nontrivial rotation, and each goes through the
-    side-sequence kernel.  Returns the four class sets, the number of
-    cycles (reached or counted) and the number profiled.  ``task`` is
-    (n, second).
+    the cycles with a nontrivial rotation.  The search reads a cycle of a
+    rotation class as a cyclic shift of the class's sides (it starts at
+    another vertex) or of their reversed complement (it runs the other
+    way).  So the side-sequence kernel runs only on a cycle whose sides
+    are not in ``seen``, which holds those 2n readings of every class
+    recorded so far.  The complement and the reversal are mirror images,
+    other classes unless the polygon has an axis, and are not added.
+    Returns the four class sets, the number of cycles (reached or counted)
+    and the number built and matched to a class.
     """
-    n, second = task
     h = n // 2
     periods = _max_periods(n)
     sizes = [math.factorial(k) for k in range(n)]
     verts = [0] * n  # v_0 .. v_{i-1} of the branch being searched
     at = [-1] * n  # the position of each placed vertex, -1 while free
+    at[0] = 0
     found: dict = {tag: set() for tag in FamilyTag}
+    seen: set[tuple[int, ...]] = set()
     count = 0
     profiled = 0
 
-    def place(i: int, v: int, live: list, k: int) -> tuple[list, int]:
-        """The periods and the k still possible once v sits at position i."""
-        keep = []
-        for d in live:
-            if i < d:  # v_0 .. v_{d-1} in distinct classes mod d
-                ok = all((v - verts[j]) % d for j in range(i))
-            elif i == d:  # D = v_d = 0 mod d
-                ok = v % d == 0
-            else:  # v_i = v_{i-d} + D
-                ok = v == (verts[i - d] + verts[d]) % n
-            if ok:
-                keep.append(d)
-        if k == _OPEN:
-            p = at[(v + h) % n]
-            if p >= 0:  # the first antipodal pair: adjacent, k = p + i
-                k = 2 * i - 1 if p == i - 1 else _DEAD
-        elif k != _DEAD:
-            j = (k - i) % n  # the partner position: a filled one holds
-            # the antipode of v, an open one keeps the antipode free
-            if (v - verts[j]) % n != h if j < i else at[(v + h) % n] >= 0:
-                k = _DEAD
-        return keep, k
-
     def extend(i: int, rest: list, above: int, live: list, k: int) -> None:
         """Search position i onwards, with ``above`` of the free vertices
-        ``rest`` greater than ``second``."""
+        ``rest`` greater than ``second``, the periods ``live`` and the k
+        still possible."""
         nonlocal count, profiled
         if not rest:
             count += 1
             profiled += 1
-            sides = [(b - a) % n for a, b in zip(verts, verts[1:] + [0])]
+            sides = tuple([(b - a) % n for a, b in zip(verts, verts[1:] + [0])])
+            if sides in seen:
+                return
             sym = side_symmetry(n, sides)
-            tag = family_of(n, sym.profile).tag
-            found[tag].add(sym.block * (n // sym.period))
+            found[family_of(n, sym.profile).tag].add(sym.block * (n // sym.period))
+            back = tuple([n - s for s in reversed(sides)])
+            for j in range(n):
+                seen.add(sides[j:] + sides[:j])
+                seen.add(back[j:] + back[:j])
             return
         r = len(rest)
         for v in rest:
             if r == 1 and v < second:
                 continue  # the cycle runs the other way
             left = above - (v > second)
-            keep, k2 = place(i, v, live, k)
+            keep = []
+            for d in live:
+                if i < d:  # v_0 .. v_{d-1} in distinct classes mod d
+                    ok = all((v - verts[j]) % d for j in range(i))
+                elif i == d:  # D = v_d = 0 mod d
+                    ok = v % d == 0
+                else:  # v_i = v_{i-d} + D
+                    ok = v == (verts[i - d] + verts[d]) % n
+                if ok:
+                    keep.append(d)
+            k2 = k
+            if k == _OPEN:
+                p = at[(v + h) % n]
+                if p >= 0:  # the first antipodal pair: adjacent, k = p + i
+                    k2 = 2 * i - 1 if p == i - 1 else _DEAD
+            elif k != _DEAD:
+                j = (k - i) % n  # the partner position: a filled one holds
+                # the antipode of v, an open one keeps the antipode free
+                if (v - verts[j]) % n != h if j < i else at[(v + h) % n] >= 0:
+                    k2 = _DEAD
             if keep or k2 != _DEAD:
                 verts[i] = v
                 at[v] = i
@@ -559,12 +475,19 @@ def _census_shard(task: tuple[int, int]):
             else:
                 count += sizes[r - 2] * left if r > 1 else 1
 
-    at[0] = 0
-    at[second] = 1
-    verts[1] = second
-    free = [v for v in range(1, n) if v != second]
-    start = place(1, second, periods, _OPEN if n % 2 == 0 else _DEAD)
-    extend(2, free, n - 1 - second, *start)
+    for second in range(1, n - 1):
+        verts[1] = second
+        at[second] = 1
+        # v_1 = second keeps each period d > 1 whose class mod d is not
+        # that of v_0 = 0, and for even n is the antipode of v_0 exactly
+        # when second = h: the first antipodal pair, at positions 0 and 1
+        live = [d for d in periods if d == 1 or second % d]
+        k = _DEAD if n % 2 else 1 if second == h else _OPEN
+        extend(2, [v for v in range(1, n) if v != second], n - 1 - second, live, k)
+        at[second] = -1
+    # extend reaches itself through its closure; dropping the name breaks
+    # that cycle, so the memo is freed on return, not at a full collection
+    del extend
     return (
         found[FamilyTag.AXIAL],
         found[FamilyTag.CIRCULAR],
@@ -578,38 +501,22 @@ def _census_shard(task: tuple[int, int]):
 def census_full(n: int, jobs: int = 1) -> OracleReport:
     """Classify every Hamiltonian cycle on n vertices ((n-1)!/2 of them).
 
-    ``jobs`` sizes the pool that runs the shards of ``census_tasks(n)``;
-    the pool closes once the last shard result is in, and the result does
-    not depend on ``jobs``.  The shards build only the cycles that can
-    have a nontrivial rotation and add every pruned subtree to
-    ``census_size`` by its exact size, so the (n-1)!/2 check still covers
-    the whole search.  Each cycle built costs about 50 us (2 vCPU Xeon,
-    n = 8..12), so by ``_rotatable_cycles`` n = 10 is about 60 ms of work
-    and n = 12 about 0.7 s, and both get a pool of two; every other
-    n <= 11 takes under 8 ms and runs in this process.  ``stats`` counts
-    the cycles, those pruned without being built (``screened_out``) and
-    those profiled by the symmetry kernel.
+    One serial ``_census_search(n)`` builds only the cycles that can have
+    a nontrivial rotation, runs the side kernel once per rotation class,
+    and adds every pruned subtree to ``census_size`` by its exact size, so
+    the (n-1)!/2 check still covers the whole search.  ``jobs`` must be at
+    least 1 and is otherwise not read.  ``stats`` counts the cycles, those
+    pruned without being built (``screened_out``) and those built and
+    matched to a class (``profiled``).
     """
     if n < 3:
         raise NTooSmall(n)
     if n > CENSUS_MAX_N:
         raise NTooLarge(n)
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     start = time.perf_counter()
-    work = 50e-6 * _rotatable_cycles(n)
-    parts = _run_shards(_census_shard, census_tasks(n), jobs, work)
-    axial: set = set()
-    circular: set = set()
-    regular: set = set()
-    other: set = set()
-    total = 0
-    profiled = 0
-    for ax, ci, re, ot, cnt, prof in parts:
-        axial |= ax
-        circular |= ci
-        regular |= re
-        other |= ot
-        total += cnt
-        profiled += prof
+    axial, circular, regular, other, total, profiled = _census_search(n)
     return OracleReport(
         n=n,
         axial_blocks=frozenset(axial),

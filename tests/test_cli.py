@@ -2,7 +2,6 @@ import argparse
 import dataclasses
 import itertools
 import json
-import multiprocessing
 import subprocess
 import sys
 from fractions import Fraction
@@ -258,56 +257,20 @@ class TestVerify:
         assert out == ""
         assert err == f"error: --jobs must be at least 1, got {jobs}\n"
 
-    def test_one_pool_per_command(self, capfd, opened_pools, always_pool):
-        before = set(multiprocessing.active_children())
-        rc, _, _ = run(["verify", "--mode", "census", "--n", "10", "--jobs", "2"], capfd)
-        assert rc == 0
-        assert opened_pools == [2]  # one pool for all the census's shards
-        assert set(multiprocessing.active_children()) <= before
-
-    @pytest.mark.parametrize(
-        ("argv", "pools"),
-        [
-            (["--mode", "census", "--n", "9"], []),
-            (["--mode", "census", "--n", "10"], [2]),
-            (["--mode", "census", "--n", "11"], []),
-            (["--mode", "sweep", "--m", "3..12"], []),
-            (["--mode", "sweep", "--m", "3..30"], []),
-            (["--mode", "sweep", "--m", "3..31"], []),
-            (["--mode", "sweep", "--m", "3..32"], []),
-        ],
-        ids=[
-            "census9", "census10", "census11",
-            "sweep3-12", "sweep3-30", "sweep3-31", "sweep3-32",
-        ],
-    )
-    def test_pool_only_where_the_work_pays_for_it(self, argv, pools, capfd, opened_pools):
-        before = set(multiprocessing.active_children())
-        rc, _, _ = run(["verify", *argv, "--jobs", "2"], capfd)
-        assert rc == 0
-        assert opened_pools == pools
-        assert set(multiprocessing.active_children()) <= before
-
-    @pytest.mark.parametrize("forced", [False, True], ids=["default", "forced"])
+    @pytest.mark.parametrize("jobs", ["2", "1000000"], ids=["default", "forced"])
     @pytest.mark.parametrize(
         "argv",
         [*(["--mode", "census", "--n", str(n)] for n in range(3, 12)),
          ["--mode", "sweep", "--m", "3..12"]],
         ids=[*(f"census{n}" for n in range(3, 12)), "sweep3-12"],
     )
-    def test_jobs_do_not_change_stdout(self, argv, forced, capfd, opened_pools, request):
-        # on either side of the cut-off; a census of n = 3 has one shard,
-        # and the sweep never opens a pool
-        if forced:
-            request.getfixturevalue("always_pool")
+    def test_jobs_do_not_change_stdout(self, argv, jobs, capfd):
+        # every search runs serially in this process: the two jobs the
+        # benchmark passes, or far more than any machine has CPUs, print
+        # the --jobs 1 bytes
         one = run(["verify", *argv, "--jobs", "1"], capfd)
-        assert opened_pools == []
-        two = run(["verify", *argv, "--jobs", "2"], capfd)
-        assert one == two and one[0] == 0
-        if argv[1] == "sweep":
-            assert opened_pools == []
-        elif forced and argv[-1] != "3":
-            assert opened_pools == [2]
+        many = run(["verify", *argv, "--jobs", jobs], capfd)
+        assert one == many and one[0] == 0
 
     def test_census_rejects_m(self, capfd):
         rc, out, err = run(["verify", "--mode", "census", "--n", "6", "--m", "3..4"], capfd)
@@ -399,11 +362,8 @@ class TestVerifyFailures:
             ["--mode", "sweep", "--m", "3..3"], "sweep m=3: axial class sets differ", capfd
         )
 
-    def test_sweep_failure_mid_range_tears_down_pool(
-        self, capfd, monkeypatch, opened_pools, always_pool
-    ):
-        # m = 4 fails, m = 5 is never swept, and no pool opens even when
-        # pools cost nothing to start
+    def test_sweep_failure_mid_range_stops(self, capfd, monkeypatch):
+        # m = 4 fails and m = 5 is never swept
         swept = []
 
         def failing_at_4(r):
@@ -413,14 +373,12 @@ class TestVerifyFailures:
             return dataclasses.replace(r, axial_blocks=drop_least(r.axial_blocks))
 
         patch_report(monkeypatch, "sweep_period3", failing_at_4)
-        before = set(multiprocessing.active_children())
         self.assert_fails(
             ["--mode", "sweep", "--m", "3..5", "--jobs", "2"],
             "sweep m=4: axial count 5 != formula 6",
             capfd,
         )
-        assert swept == [3, 4] and opened_pools == []
-        assert set(multiprocessing.active_children()) <= before
+        assert swept == [3, 4]
 
     def test_census_against_sweep(self, capfd, monkeypatch):
         patch_report(

@@ -100,22 +100,30 @@ def test_cold_start_imports_only_what_its_command_runs(case):
     assert not unused & loaded
 
 
-def test_sweep_runs_in_process_whatever_jobs_says():
-    # with two usable CPUs, m = 3..32 is a range whose sweep once opened a
-    # pool; the sweep has one code path, so --jobs 2 loads no
-    # multiprocessing and prints the --jobs 1 bytes
+def printed_whatever_jobs_says(argv: list[str], jobs: str) -> str:
+    """What ``verify`` prints for ``argv`` in a fresh interpreter, the same
+    with ``--jobs 1`` and ``--jobs`` ``jobs``; neither run loads
+    ``multiprocessing``."""
     printed = []
-    for jobs in ("1", "2"):
-        argv = ["verify", "--mode", "sweep", "--m", "3..32", "--jobs", jobs]
-        out, loaded = fresh_run(
-            "import polysym.cli as cli, polysym.oracle as oracle\n"
-            "oracle._usable_cpus = lambda: 2\n"
-            f"assert cli.main({argv!r}) == 0"
-        )
+    for j in ("1", jobs):
+        full = ["verify", *argv, "--jobs", j]
+        out, loaded = fresh_run(f"import polysym.cli as cli\nassert cli.main({full!r}) == 0")
         assert "multiprocessing" not in loaded
         printed.append(out)
     assert printed[0] == printed[1]
-    assert printed[0].startswith("sweep m=3: ")
+    return printed[0]
+
+
+def test_sweep_runs_in_process_whatever_jobs_says():
+    # m = 3..32 is a range whose sweep once opened a pool
+    out = printed_whatever_jobs_says(["--mode", "sweep", "--m", "3..32"], "2")
+    assert out.startswith("sweep m=3: ")
+
+
+def test_census_runs_in_process_whatever_jobs_says():
+    # n = 10 once opened a pool of two; far more jobs than CPUs start none
+    out = printed_whatever_jobs_says(["--mode", "census", "--n", "10"], "1000000")
+    assert out.startswith("census n=10: ")
 
 
 def test_submodules_are_attributes_of_a_fresh_package():

@@ -1,8 +1,7 @@
 import dataclasses
 import functools
+import gc
 import math
-import multiprocessing
-import os
 from collections import Counter
 
 import pytest
@@ -25,8 +24,6 @@ from polysym.oracle import (
     _sweep_shard,
     _third_sides,
     _walk_sets,
-    census_tasks,
-    pool_size,
     theorem_axial_blocks,
     theorem_circular_blocks,
 )
@@ -41,6 +38,7 @@ from walks import (
     reference_sweep_shard,
     reference_theorem_blocks,
     reference_theorem_gcd,
+    rotatable_cycles,
     slice_canonical,
     undirected_cycles,
     walk3,
@@ -83,13 +81,14 @@ def generic_census(n):
 
 
 def census_results(r):
-    """The five results of a census report."""
+    """The five results of a census report, and the cycles it profiled."""
     return (
         r.axial_classes,
         r.circular_classes,
         r.regular_classes,
         r.other_count,
         r.census_size,
+        r.stats["profiled"],
     )
 
 
@@ -98,29 +97,26 @@ def serial_census(n):
     return ps.census_full(n)
 
 
-@functools.lru_cache(maxsize=None)
-def reference_shard(n, second):
-    return reference_census_shard(n, second)
-
-
 def reference_census(n):
     """The census results of ``reference_census_shard``, merged over
-    second = 1..n-1."""
+    second = 1..n-1, and the cycles its screen kept."""
     axial, circular, regular, other = set(), set(), set(), set()
-    count = 0
+    count = kept = 0
     for second in range(1, n):
-        ax, ci, re, ot, cnt, _ = reference_shard(n, second)
+        ax, ci, re, ot, cnt, kpt = reference_census_shard(n, second)
         axial |= ax
         circular |= ci
         regular |= re
         other |= ot
         count += cnt
+        kept += kpt
     return (
         frozenset(SideTuple(n, k) for k in axial),
         frozenset(SideTuple(n, k) for k in circular),
         frozenset(SideTuple(n, k) for k in regular),
         len(other),
         count,
+        kept,
     )
 
 
@@ -131,17 +127,16 @@ class TestCensusKernel:
     def test_matches_permutation_reference(self, n):
         assert census_results(serial_census(n)) == reference_census(n)
 
-    @pytest.mark.parametrize("n", range(3, 11))
-    def test_each_shard_matches_permutation_reference(self, n):
-        # class sets, cycle count and profiled count, second = n - 1 too
-        for second in range(1, n):
-            assert oracle._census_shard((n, second)) == reference_shard(n, second), second
-
     @pytest.mark.parametrize("n", [9, 10, 12])
-    def test_one_failure_function_per_profiled_cycle(self, n, failure_lengths):
-        profiled = sum(oracle._census_shard(task)[-1] for task in census_tasks(n)[:3])
-        assert profiled > 0
-        assert failure_lengths == [n] * profiled
+    def test_one_failure_function_per_class(self, n, failure_lengths):
+        # the memo of side readings sends each rotation class through the
+        # side kernel once, however many of its cycles the search builds
+        r = ps.census_full(n)
+        classes = (
+            len(r.axial_blocks) + len(r.circular_blocks) + len(r.regular_blocks) + r.other_count
+        )
+        assert classes < r.stats["profiled"]
+        assert failure_lengths == [n] * classes
 
     @pytest.mark.parametrize("n", range(3, 12))
     def test_one_count_per_cycle(self, n):
@@ -171,18 +166,17 @@ class TestCensusKernel:
         as Golomb and Welch use it to count polygons ("On the enumeration
         of polygons", Amer. Math. Monthly 67, 1960): a class of rotation
         order r stands for n/r of the profiled cycles, and the cycles with
-        no rotation fall into orbits of n."""
-        classes = set()
-        profiled = 0
-        for task in census_tasks(n):
-            *found, _, prof = oracle._census_shard(task)
-            classes.update(*found)
-            profiled += prof
+        no rotation fall into orbits of n.  The report keeps only the
+        number of Other classes, so the classes come from the one search
+        that ``census_full`` reports."""
+        *found, cycles, profiled = oracle._census_search(n)
+        classes = set().union(*found)
         orbits = sum(n // side_symmetry(n, list(c)).profile.rotation_order for c in classes)
         assert orbits == profiled
-        assert (math.factorial(n - 1) // 2 - profiled) % n == 0
+        assert (cycles - profiled) % n == 0
+        assert cycles == math.factorial(n - 1) // 2
 
-    def test_jobs_do_not_change_results(self, always_pool):
+    def test_jobs_do_not_change_results(self):
         two = ps.census_full(10, jobs=2)
         assert census_results(two) == census_results(serial_census(10))
         assert two.stats == serial_census(10).stats
@@ -191,14 +185,14 @@ class TestCensusKernel:
     def test_rotatable_cycles_bound_the_cycles_built(self, n):
         # the two kinds of rotation overlap in at most 6 cycles at n <= 12
         profiled = serial_census(n).stats["profiled"]
-        assert profiled <= oracle._rotatable_cycles(n) <= profiled + 6
+        assert profiled <= rotatable_cycles(n) <= profiled + 6
 
     def test_rotatable_cycles_bound_the_dodecagon(self, census12):
-        assert oracle._rotatable_cycles(12) == census12.stats["profiled"] + 6
+        assert rotatable_cycles(12) == census12.stats["profiled"] + 6
 
     @pytest.mark.parametrize("n", range(3, 9))
     def test_tasks_leave_out_only_an_empty_shard(self, n):
-        assert census_tasks(n) == [(n, second) for second in range(1, n - 1)]
+        # the search runs the second vertex up to n - 2 only
         assert reference_census_shard(n, n - 1)[4] == 0
 
 
@@ -242,34 +236,36 @@ class TestCensus:
             ps.validate_walk(t)
             assert ps.canonical_form(t) == t
 
-    def test_jobs_do_not_change_results(self, census9, always_pool):
+    def test_jobs_do_not_change_results(self, census9):
         again = ps.census_full(9, jobs=2)
         assert again.axial_classes == census9.axial_classes
         assert again.circular_classes == census9.circular_classes
         assert again.regular_classes == census9.regular_classes
         assert again.other_count == census9.other_count
 
-    def test_census_opens_one_pool_and_closes_it(self, opened_pools, always_pool):
-        before = set(multiprocessing.active_children())
-        r = ps.census_full(8, jobs=2)
-        assert census_results(r) == census_results(serial_census(8))
-        assert opened_pools == [2]
-        assert set(multiprocessing.active_children()) <= before
-
-    def test_dodecagon_pays_for_its_pool(self, opened_pools, census12):
-        # about 0.7 s of serial work: the default cut-off keeps the pool
-        before = set(multiprocessing.active_children())
-        r = ps.census_full(12, jobs=2)
-        assert opened_pools == [2]
-        assert census_results(r) == census_results(census12)
-        assert r.stats == census12.stats
-        assert set(multiprocessing.active_children()) <= before
+    @pytest.mark.parametrize("jobs", [0, -1])
+    def test_rejects_jobs_below_one(self, jobs):
+        with pytest.raises(ValueError, match="jobs must be at least 1"):
+            ps.sweep_period3(3, jobs=jobs)
+        with pytest.raises(ValueError, match="jobs must be at least 1"):
+            ps.census_full(4, jobs=jobs)
 
     def test_size_guards(self):
         with pytest.raises(NTooSmall):
             ps.census_full(2)
         with pytest.raises(NTooLarge):
             ps.census_full(13)
+
+    def test_search_leaves_no_cyclic_garbage(self):
+        # the memo of side readings is freed on return, not held by a
+        # reference cycle until the next full collection
+        gc.collect()
+        gc.disable()
+        try:
+            ps.census_full(10)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_elapsed_is_recorded(self, census9):
         assert census9.elapsed > 0
@@ -584,50 +580,3 @@ class TestGcdTheorem:
     def test_rejects_m_too_small(self):
         with pytest.raises(MTooSmall):
             ps.verify_theorem_gcd(2, "axial")
-
-
-class TestPoolSize:
-    """The pool size is computed, never tried: no test starts a big pool."""
-
-    BIG = 10.0  # seconds of serial work, far above what a pool costs
-
-    def test_capped_by_jobs_shards_and_cpus(self):
-        cpus = len(os.sched_getaffinity(0))
-        assert pool_size(1, 100, self.BIG) == 1
-        assert pool_size(3, 2, self.BIG) == min(2, cpus)
-        assert pool_size(10**6, 10**6, self.BIG) == cpus
-        assert pool_size(2, 89, self.BIG) == min(2, cpus)
-        assert pool_size(2, 1, self.BIG) == 1
-        assert pool_size(2, 0, self.BIG) == 1
-
-    def test_serial_below_what_the_workers_save(self, monkeypatch):
-        # k workers save at most work * (1 - 1/k), which must cover the
-        # cost of starting their pool
-        monkeypatch.setattr(oracle, "_usable_cpus", lambda: 4)
-        cost = oracle.POOL_START_S
-        assert pool_size(2, 8, 2 * cost) == 2
-        assert pool_size(2, 8, 1.99 * cost) == 1
-        assert pool_size(2, 8, 0.0) == 1
-        assert pool_size(4, 8, 1.5 * cost) == 4
-        assert pool_size(4, 8, 1.3 * cost) == 1
-        # the caps apply first: three shards or three jobs save only 2/3
-        assert pool_size(4, 3, 1.3 * cost) == 1
-        assert pool_size(4, 3, 1.6 * cost) == 3
-        assert pool_size(3, 8, 1.6 * cost) == 3
-        assert pool_size(10**6, 10**6, 1.6 * cost) == 4
-
-    def test_cpu_count_without_affinity_call(self, monkeypatch):
-        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-        assert pool_size(10**6, 10**6, self.BIG) == (os.cpu_count() or 1)
-
-    @pytest.mark.parametrize("jobs", [0, -1])
-    def test_rejects_jobs_below_one(self, jobs):
-        # before the work is looked at: no work would run serially anyway
-        with pytest.raises(ValueError, match="jobs must be at least 1"):
-            pool_size(jobs, 8, 0.0)
-        with pytest.raises(ValueError, match="jobs must be at least 1"):
-            pool_size(jobs, 8, self.BIG)
-        with pytest.raises(ValueError):
-            ps.sweep_period3(3, jobs=jobs)
-        with pytest.raises(ValueError):
-            ps.census_full(4, jobs=jobs)

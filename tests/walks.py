@@ -2,8 +2,9 @@
 the geometric chord-set scan that the symmetry kernel is checked against,
 per-triple reference versions of the oracle's walk check, sweep, sweep
 shard, the shard's row rules and gcd verifier, a block-kernel reference
-for its theorem class sets, a per-permutation reference version of its
-census shard, per-pair and per-triple reference versions of its identity
+for its theorem class sets, a per-permutation reference version of one
+second vertex of its census, a closed count of the cycles that census
+builds, per-pair and per-triple reference versions of its identity
 counts, and per-record and per-cell reference versions of the
 ``enumerate`` and ``render`` output.
 
@@ -377,10 +378,11 @@ def reference_census_shard(n: int, second: int):
 
     Over second = 1..n-1 every undirected Hamiltonian cycle shows up
     once.  Returns the axial, circular, regular and other canonical
-    side sets, the number of cycles and the number the screen keeps,
-    like ``oracle._census_shard``.  The screen keeps a cycle when its
-    side bytes match a nonzero shift of themselves or, with
-    sum(sides) = n^2 / 2, a shift of their reversed complement.
+    side sets, the number of cycles and the number the screen keeps, as
+    ``oracle._census_search`` counts them over every second vertex.  The
+    screen keeps a cycle when its side bytes match a nonzero shift of
+    themselves or, with sum(sides) = n^2 / 2, a shift of their reversed
+    complement.
     """
     step = tuple(tuple((q - p) % n for q in range(n)) for p in range(n))
     fam = n >= 9 and n % 3 == 0
@@ -424,6 +426,31 @@ def reference_census_shard(n: int, second: int):
         else:
             other.add(key)
     return axial, circular, regular, other, count, kept
+
+
+def rotatable_cycles(n: int) -> int:
+    """An upper bound on the cycles ``census_full(n)`` builds, those with a
+    nontrivial rotation (its search counts the rest by subtree size).
+
+    By the conditions in ``oracle._census_search`` it is the sum of
+    * for each maximal period d = n / q (q prime), the cycles with
+      d-periodic sides, (d-1)! q^(d-1) (q-1) / 2: v_1 .. v_{d-1} take the
+      residues 1 .. d-1 mod d in some order, each in q ways, D = v_d is any
+      of the q - 1 nonzero multiples of d, and each cycle is met in both
+      directions;
+    * for even n, the cycles the half-turn reverses, (n/2)! 2^(n/2) / 4:
+      each is a path through one vertex of every antipodal pair followed
+      by the antipodes of that path backwards, and is met from 4 paths.
+    Cycles with both kinds of rotation are counted twice, 6 of them at
+    n = 12.
+    """
+    primes = [q for q in range(2, n + 1) if n % q == 0 and all(q % r for r in range(2, q))]
+    cycles = sum(
+        math.factorial(n // q - 1) * q ** (n // q - 1) * (q - 1) // 2 for q in primes
+    )
+    if n % 2 == 0:
+        cycles += math.factorial(n // 2) * 2 ** (n // 2) // 4
+    return cycles
 
 
 def reference_axial_count(m: int) -> int:
