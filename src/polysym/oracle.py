@@ -26,7 +26,7 @@ import functools
 import itertools
 import math
 import time
-from collections.abc import Iterator, Mapping, Set
+from collections.abc import Iterable, Iterator, Mapping, Set
 from dataclasses import dataclass, field
 
 from .classification import FamilyTag, family_of
@@ -361,9 +361,9 @@ _OPEN = -1  # no antipodal pair placed yet, so k is still free
 _DEAD = -2  # no direction-reversing rotation on this branch
 
 
-def _census_search(n: int):
+def _census_search(n: int, seconds: Iterable[int] | None = None):
     """Examine all cycles 0 -> second -> ... -> last -> 0 with second < last,
-    for each second vertex 1 .. n - 2.
+    for each second vertex in ``seconds``, 1 .. n - 2 by default.
 
     Every undirected Hamiltonian cycle shows up exactly once (fixing
     start 0 kills rotation of the start point, second < last kills
@@ -475,7 +475,7 @@ def _census_search(n: int):
             else:
                 count += sizes[r - 2] * left if r > 1 else 1
 
-    for second in range(1, n - 1):
+    for second in range(1, n - 1) if seconds is None else seconds:
         verts[1] = second
         at[second] = 1
         # v_1 = second keeps each period d > 1 whose class mod d is not

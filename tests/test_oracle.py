@@ -97,13 +97,18 @@ def serial_census(n):
     return ps.census_full(n)
 
 
+@functools.lru_cache(maxsize=None)
+def reference_shard(n, second):
+    return reference_census_shard(n, second)
+
+
 def reference_census(n):
     """The census results of ``reference_census_shard``, merged over
     second = 1..n-1, and the cycles its screen kept."""
     axial, circular, regular, other = set(), set(), set(), set()
     count = kept = 0
     for second in range(1, n):
-        ax, ci, re, ot, cnt, kpt = reference_census_shard(n, second)
+        ax, ci, re, ot, cnt, kpt = reference_shard(n, second)
         axial |= ax
         circular |= ci
         regular |= re
@@ -126,6 +131,13 @@ class TestCensusKernel:
     @pytest.mark.parametrize("n", range(3, 11))
     def test_matches_permutation_reference(self, n):
         assert census_results(serial_census(n)) == reference_census(n)
+
+    @pytest.mark.parametrize("n", range(3, 11))
+    def test_each_shard_matches_permutation_reference(self, n):
+        # a search over one second vertex, with a memo of its own: class
+        # sets, cycle count and profiled count, second = n - 1 too
+        for second in range(1, n):
+            assert oracle._census_search(n, [second]) == reference_shard(n, second), second
 
     @pytest.mark.parametrize("n", [9, 10, 12])
     def test_one_failure_function_per_class(self, n, failure_lengths):
