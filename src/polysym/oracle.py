@@ -372,10 +372,10 @@ def _census_search(n: int, seconds: Iterable[int] | None = None):
     Other by definition, so only the others are built: a depth-first
     search places v_0 = 0, v_1 = second, v_2, ... one position at a time
     and follows a branch only while one of two necessary conditions for a
-    nontrivial rotation v -> v + t can still hold.  A dropped subtree with
-    r >= 1 vertices left is counted by its size,
-    (r-1)! * #{left v : v > second}.  With sides s_i = v_{i+1} - v_i and
-    indices mod n:
+    nontrivial rotation v -> v + t can still hold.  A subtree with r >= 1
+    vertices left that is not searched one position at a time is counted
+    by its size, (r-1)! * #{left v : v > second}.  With sides
+    s_i = v_{i+1} - v_i and indices mod n:
 
     * A rotation that keeps the direction makes the sides match a nonzero
       shift of themselves, so they repeat with some period p < n dividing
@@ -403,88 +403,159 @@ def _census_search(n: int, seconds: Iterable[int] | None = None):
 
     So the cycles reached are exactly those whose sides match a nonzero
     shift of themselves or a shift of their reversed complement, that is
-    the cycles with a nontrivial rotation.  The search reads a cycle of a
-    rotation class as a cyclic shift of the class's sides (it starts at
-    another vertex) or of their reversed complement (it runs the other
-    way).  So the side-sequence kernel runs only on a cycle whose sides
-    are not in ``seen``, which holds those 2n readings of every class
-    recorded so far.  The complement and the reversal are mirror images,
-    other classes unless the polygon has an axis, and are not added.
-    Returns the four class sets, the number of cycles (reached or counted)
-    and the number built and matched to a class.
+    the cycles with a nontrivial rotation.  The free vertices are one
+    n-bit mask: each live condition admits a mask of them, and every free
+    vertex outside their union is dropped with its subtree in one
+    popcount step.  Once one condition alone is left, the rest of the
+    branch is fixed by it, so the node adds its own subtree size and
+    builds that condition's cycles directly, skipping those whose last
+    vertex is below ``second``:
+
+    * the half-turn alone, with k fixed: each open position t whose
+      partner k - t is filled takes that vertex's antipode, which is still
+      free (the check above lets it sit only at position t).  The other
+      open positions pair up as {t, k - t}, and there are as many of
+      these position pairs as antipodal pairs with both vertices free.
+      So every way of putting one such vertex pair on each position pair,
+      in either order, passes the check at every position and completes
+      a cycle, and no other completion passes it;
+    * one period d alone, with i > d and the half-turn dead: every later
+      vertex is v_{t-d} + D, and the branch holds this one cycle.  D is a
+      multiple jd of d with 0 < j < q, so it has order q = n/d mod n, and
+      v_c + jD for j < q are the q vertices of v_c's class mod d, a
+      different class for each c < d: no vertex comes twice.
+
+    The search reads a cycle of a rotation class as a cyclic shift of the
+    class's sides (it starts at another vertex) or of their reversed
+    complement (it runs the other way).  So the side-sequence kernel runs
+    only on a cycle whose side bytes are not in ``seen``, which holds
+    those 2n readings of every class recorded so far, as ``bytes``.  The
+    complement and the reversal are mirror images, other classes unless
+    the polygon has an axis, and are not added.  Returns the four class
+    sets, of side tuples, the number of cycles (reached or counted) and
+    the number built and matched to a class.
     """
     h = n // 2
     periods = _max_periods(n)
     sizes = [math.factorial(k) for k in range(n)]
+    everyone = (1 << n) - 1
+    # residue[d][c]: the vertices = c mod d
+    residue = {d: [sum(1 << v for v in range(c, n, d)) for c in range(d)] for d in periods}
     verts = [0] * n  # v_0 .. v_{i-1} of the branch being searched
-    at = [-1] * n  # the position of each placed vertex, -1 while free
-    at[0] = 0
     found: dict = {tag: set() for tag in FamilyTag}
-    seen: set[tuple[int, ...]] = set()
+    seen: set[bytes] = set()
     count = 0
     profiled = 0
 
-    def extend(i: int, rest: list, above: int, live: list, k: int) -> None:
-        """Search position i onwards, with ``above`` of the free vertices
-        ``rest`` greater than ``second``, the periods ``live`` and the k
-        still possible."""
-        nonlocal count, profiled
-        if not rest:
-            count += 1
-            profiled += 1
-            sides = tuple([(b - a) % n for a, b in zip(verts, verts[1:] + [0])])
-            if sides in seen:
-                return
-            sym = side_symmetry(n, sides)
-            found[family_of(n, sym.profile).tag].add(sym.block * (n // sym.period))
-            back = tuple([n - s for s in reversed(sides)])
-            for j in range(n):
-                seen.add(sides[j:] + sides[:j])
-                seen.add(back[j:] + back[:j])
+    def record() -> None:
+        """Match the finished cycle in ``verts`` to its class."""
+        nonlocal profiled
+        profiled += 1
+        sides = bytes([(b - a) % n for a, b in zip(verts, verts[1:] + [0])])
+        if sides in seen:
             return
-        r = len(rest)
-        for v in rest:
-            if r == 1 and v < second:
-                continue  # the cycle runs the other way
-            left = above - (v > second)
-            keep = []
-            for d in live:
-                if i < d:  # v_0 .. v_{d-1} in distinct classes mod d
-                    ok = all((v - verts[j]) % d for j in range(i))
-                elif i == d:  # D = v_d = 0 mod d
-                    ok = v % d == 0
-                else:  # v_i = v_{i-d} + D
-                    ok = v == (verts[i - d] + verts[d]) % n
-                if ok:
-                    keep.append(d)
+        sym = side_symmetry(n, sides)
+        found[family_of(n, sym.profile).tag].add(sym.block * (n // sym.period))
+        back = bytes([n - s for s in reversed(sides)])
+        sides += sides
+        back += back
+        for j in range(n):
+            seen.add(sides[j : j + n])
+            seen.add(back[j : j + n])
+
+    def extend(i: int, free: int, live: list, k: int) -> None:
+        """Search position i onwards, with the vertices ``free`` left, the
+        periods ``live`` and the k still possible."""
+        nonlocal count
+        r = n - i
+        if not r:
+            count += 1
+            record()
+            return
+        if (not live and k >= 0) or (k == _DEAD and len(live) == 1 and i > live[0]):
+            # one condition alone: it fixes the rest of the branch
+            count += sizes[r - 1] * (free & above).bit_count()
+            if live:  # the period: each later vertex D past v_{t-d}
+                d = live[0]
+                for t in range(i, n):
+                    verts[t] = (verts[t - d] + verts[d]) % n
+                if verts[-1] > second:
+                    record()
+                return
+            # the half-turn: antipodes of the filled partners, then the
+            # free antipodal pairs on the open position pairs
+            opens = []
+            for t in range(i, n):
+                j = (k - t) % n
+                if j < i:
+                    verts[t] = (verts[j] + h) % n
+                    free ^= 1 << verts[t]
+                elif t < j:
+                    opens.append((t, j))
+            pairs = [u for u in range(h) if free >> u & 1]
+            for order in itertools.permutations(pairs):
+                for flips in itertools.product((0, h), repeat=len(order)):
+                    for (t, j), u, f in zip(opens, order, flips):
+                        verts[t] = u + f
+                        verts[j] = u + h - f
+                    if verts[-1] > second:
+                        record()
+            return
+        admits = []
+        union = 0
+        for d in live:
+            if i < d:  # v_0 .. v_{d-1} in distinct classes mod d
+                mask = free
+                for j in range(i):
+                    mask &= ~residue[d][verts[j] % d]
+            elif i == d:  # D = v_d = 0 mod d
+                mask = free & residue[d][0]
+            else:  # v_i = v_{i-d} + D
+                mask = free & 1 << (verts[i - d] + verts[d]) % n
+            admits.append(mask)
+            union |= mask
+        if k != _DEAD:
+            # the free vertices whose antipode is free too
+            paired = free & (free >> h | free << h)
+            if k == _OPEN:  # the first antipodal pair: adjacent, k = 2i - 1
+                first = 1 << (verts[i - 1] + h) % n
+                turn = free & (paired | first)
+            else:  # the partner position: a filled one holds the antipode
+                # of v, an open one keeps the antipode free
+                j = (k - i) % n
+                turn = free & 1 << (verts[j] + h) % n if j < i else paired
+            union |= turn
+        if r == 1:
+            union &= above  # the cycle runs the other way
+            count += (free & above & ~union).bit_count()
+        else:
+            dropped = free & ~union
+            count += sizes[r - 2] * (
+                dropped.bit_count() * (free & above).bit_count()
+                - (dropped & above).bit_count()
+            )
+        while union:
+            bit = union & -union
+            union ^= bit
+            keep = [d for d, mask in zip(live, admits) if mask & bit]
             k2 = k
             if k == _OPEN:
-                p = at[(v + h) % n]
-                if p >= 0:  # the first antipodal pair: adjacent, k = p + i
-                    k2 = 2 * i - 1 if p == i - 1 else _DEAD
-            elif k != _DEAD:
-                j = (k - i) % n  # the partner position: a filled one holds
-                # the antipode of v, an open one keeps the antipode free
-                if (v - verts[j]) % n != h if j < i else at[(v + h) % n] >= 0:
-                    k2 = _DEAD
-            if keep or k2 != _DEAD:
-                verts[i] = v
-                at[v] = i
-                extend(i + 1, [u for u in rest if u != v], left, keep, k2)
-                at[v] = -1
-            else:
-                count += sizes[r - 2] * left if r > 1 else 1
+                if not paired & bit:
+                    k2 = 2 * i - 1 if bit == first else _DEAD
+            elif k != _DEAD and not turn & bit:
+                k2 = _DEAD
+            verts[i] = bit.bit_length() - 1
+            extend(i + 1, free ^ bit, keep, k2)
 
     for second in range(1, n - 1) if seconds is None else seconds:
         verts[1] = second
-        at[second] = 1
+        above = everyone ^ ((2 << second) - 1)  # the vertices above second
         # v_1 = second keeps each period d > 1 whose class mod d is not
         # that of v_0 = 0, and for even n is the antipode of v_0 exactly
         # when second = h: the first antipodal pair, at positions 0 and 1
         live = [d for d in periods if d == 1 or second % d]
         k = _DEAD if n % 2 else 1 if second == h else _OPEN
-        extend(2, [v for v in range(1, n) if v != second], n - 1 - second, live, k)
-        at[second] = -1
+        extend(2, everyone ^ 1 ^ 1 << second, live, k)
     # extend reaches itself through its closure; dropping the name breaks
     # that cycle, so the memo is freed on return, not at a full collection
     del extend
@@ -503,11 +574,12 @@ def census_full(n: int, jobs: int = 1) -> OracleReport:
 
     One serial ``_census_search(n)`` builds only the cycles that can have
     a nontrivial rotation, runs the side kernel once per rotation class,
-    and adds every pruned subtree to ``census_size`` by its exact size, so
-    the (n-1)!/2 check still covers the whole search.  ``jobs`` must be at
-    least 1 and is otherwise not read.  ``stats`` counts the cycles, those
-    pruned without being built (``screened_out``) and those built and
-    matched to a class (``profiled``).
+    and adds every pruned or directly completed subtree to ``census_size``
+    by its exact size, so the (n-1)!/2 check still covers the whole
+    search.  ``jobs`` must be at least 1 and is otherwise not read.
+    ``stats`` counts the cycles, those pruned without being built
+    (``screened_out``) and those built and matched to a class
+    (``profiled``).
     """
     if n < 3:
         raise NTooSmall(n)

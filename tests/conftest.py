@@ -1,7 +1,10 @@
+import functools
+
 import pytest
 
 import polysym as ps
 import polysym.polygon_core as polygon_core
+from walks import chord_symmetry, undirected_cycles
 
 
 @pytest.fixture(scope="session")
@@ -11,9 +14,20 @@ def census9():
 
 @pytest.fixture(scope="session")
 def census12():
-    # About 0.4 s on one core; shared by the classification, oracle and
+    # About 0.13 s on one core; shared by the classification, oracle and
     # acceptance tests.
     return ps.census_full(12)
+
+
+@pytest.fixture(scope="session")
+def chord_scans():
+    """``chord_scans(n)``: every Hamiltonian cycle on n vertices with its
+    ``chord_symmetry``, scanned once per session for each n.  The kernel
+    and census tests both read the n = 9 scan, the slowest (20,160
+    cycles)."""
+    return functools.cache(
+        lambda n: [(t, chord_symmetry(t)) for t in undirected_cycles(n)]
+    )
 
 
 @pytest.fixture

@@ -32,7 +32,6 @@ from walks import (
     random_walk,
     reversing_walk,
     slice_canonical,
-    undirected_cycles,
 )
 
 
@@ -44,10 +43,11 @@ def divisor_period(sides) -> int:
     )
 
 
-def assert_matches_reference(t: SideTuple) -> tuple[int, ...]:
-    """Check the kernel against the references; return the mirror axes."""
+def assert_matches_reference(t: SideTuple, scan=None) -> tuple[int, ...]:
+    """Check the kernel against the references, with ``scan`` the walk's
+    ``chord_symmetry`` if it is already known; return the mirror axes."""
     sym = side_symmetry(t.n, t.sides)
-    profile, axes = chord_symmetry(t)
+    profile, axes = scan or chord_symmetry(t)
     assert sym.profile == profile, t
     assert sym.axes == axes, t
     assert sym.period == divisor_period(t.sides), t
@@ -59,17 +59,16 @@ def assert_matches_reference(t: SideTuple) -> tuple[int, ...]:
 
 class TestEveryCycle:
     @pytest.mark.parametrize("n", range(3, 10))
-    def test_profile_axes_period_and_canonical_form(self, n):
-        for t in undirected_cycles(n):
-            assert_matches_reference(t)
+    def test_profile_axes_period_and_canonical_form(self, n, chord_scans):
+        for t, scan in chord_scans(n):
+            assert_matches_reference(t, scan)
 
 
 class TestChordScan:
     @pytest.mark.parametrize("n", range(3, 9))
-    def test_matches_the_edge_set_scan(self, n):
-        for t in undirected_cycles(n):
+    def test_matches_the_edge_set_scan(self, n, chord_scans):
+        for t, (profile, axes) in chord_scans(n):
             e = ps.edge_set(ps.validate_walk(t))
-            profile, axes = chord_symmetry(t)
             assert profile == ps.symmetry_profile(e), t
             assert axes == tuple(a for a in range(n) if ps.reflect_edges(e, a) == e), t
 
