@@ -1,5 +1,5 @@
-"""Byte-identity goldens for ``classify``, ``enumerate`` and ``verify``
-stdout and ``render`` SVG output.
+"""Byte-identity goldens for ``classify``, ``count``, ``enumerate`` and
+``verify`` stdout and ``render`` SVG output.
 
 The classify and ``--axes --labels`` render digests were recorded from
 the edge-set implementation of the symmetry profile (a scan of all n
@@ -7,7 +7,9 @@ rotations and n mirrors of the chord set).  The enumerate digests and the
 other render digests were recorded from the output path that built every
 record from a full side tuple and formatted every number of every
 gallery cell afresh.  Any faster kernel or output path must reproduce
-every byte.  The verify digests were recorded from the sweep that
+every byte.  The count digests were recorded from the table that
+factored each m and 3m by trial division and printed every row at
+once.  The verify digests were recorded from the sweep that
 walked every closing triple and expanded each class to a full side tuple.
 
 The classify inputs are generated from a fixed seed, group by group:
@@ -280,6 +282,11 @@ ENUMERATE_GOLDEN = {
     "40/circular/csv": "d17f5987f12244b2799c8805cafce8cad609df2ad6a03ddaf47f4a7d633cdbf5",
 }
 
+COUNT_GOLDEN = {
+    "csv": "786f35c53e3f5d5c6ba94cd58362ddb33ad6fe54db09d5f46ba6f377931f63e1",
+    "json": "36b1496c88a0b07f283062976aac48902040cbf65dfe87061d45368007598b12",
+}
+
 VERIFY_GOLDEN = {
     "sweep/jobs1": "3d39c7db52a2918d37e96906e80f2fb4f14a5c6e7a9ca926bcc9b0f58c11ca11",
     "sweep/jobs2": "3d39c7db52a2918d37e96906e80f2fb4f14a5c6e7a9ca926bcc9b0f58c11ca11",
@@ -340,6 +347,12 @@ def test_enumerate_json_records_match_the_per_record_reference(m):
             gens = [(r.a, r.b, r.c) for r in sorted(enumerate_circular(m))]
         want = [reference_class_record(m, family, g) for g in gens]
         assert json.loads(out.getvalue()) == want
+
+
+@pytest.mark.parametrize("fmt", sorted(COUNT_GOLDEN))
+def test_count_output_is_byte_identical(fmt):
+    digest = hashlib.sha256(_run(["count", "--m", "3..3000", "--format", fmt])).hexdigest()
+    assert digest == COUNT_GOLDEN[fmt]
 
 
 @pytest.mark.parametrize("name", sorted(VERIFY_GOLDEN))
