@@ -60,19 +60,47 @@ def _dump(obj) -> str:
 # subcommands
 
 
+# m values per counts_table call: the command holds one window of rows at a time
+COUNT_WINDOW = 4096
+
+# Work budgets, each about 10 s on 2 vCPUs (Python 3.11).  ``count`` costs
+# about the same per row whatever m is: 3,000,000 rows take about 7 s from
+# m = 3 and 8.4 s from m = 10^9.  An identity scan builds tables of 3m
+# entries for each m, so its time is the sum of m over the range (10^7 is
+# m = 3..4471, about 6 s, or 100 values of m near 10^5, about 10 s) and
+# its memory grows with m_to (about 340 MB at m = 10^6).
+COUNT_MAX_ROWS = 3_000_000
+IDENTITY_MAX_M_SUM = 10_000_000
+IDENTITY_MAX_M = 1_000_000
+
+
 def cmd_count(args) -> int:
+    """The counts of every m of the range, one ``counts_table`` window of
+    ``COUNT_WINDOW`` values at a time, written a batch of rows at a time.
+    The JSON is the same as ``json.dumps`` of the row dicts with compact
+    separators."""
     from . import enumeration
 
     m_from, m_to = args.m
     if m_from <= 2 or m_to < m_from:
         return _fail_usage(f"count needs 2 < m_from <= m_to, got {m_from}..{m_to}")
-    rows = enumeration.counts_table(m_from, m_to)
+    if m_to - m_from + 1 > COUNT_MAX_ROWS:
+        return _fail_usage(
+            f"count prints at most {COUNT_MAX_ROWS} rows per command, "
+            f"got {m_to - m_from + 1} for {m_from}..{m_to}"
+        )
+    windows = (
+        enumeration.counts_table(lo, min(lo + COUNT_WINDOW - 1, m_to))
+        for lo in range(m_from, m_to + 1, COUNT_WINDOW)
+    )
+    first = next(windows)  # a library error shows before any output
+    rows = itertools.chain.from_iterable(itertools.chain([first], windows))
     if args.format == "csv":
-        print("n,m,p_count,q_count")
-        for r in rows:
-            print(f"{r.n},{r.m},{r.p_count},{r.q_count}")
+        lines = (f"{r.n},{r.m},{r.p_count},{r.q_count}\n" for r in rows)
+        _write_joined("n,m,p_count,q_count\n", lines, "", "")
     else:
-        print(_dump([{"n": r.n, "m": r.m, "p": r.p_count, "q": r.q_count} for r in rows]))
+        records = (f'{{"n":{r.n},"m":{r.m},"p":{r.p_count},"q":{r.q_count}}}' for r in rows)
+        _write_joined("[", records, ",", "]\n")
     return 0
 
 
@@ -198,7 +226,7 @@ def _verify_records(args) -> list[dict]:
         return [oracle.verify_identity(m) for m in ms]
     family = args.family or "both"
     families = ("axial", "circular") if family == "both" else (family,)
-    return [oracle.verify_theorem_gcd(m, fam) for m in ms for fam in families]
+    return [record for m in ms for record in oracle.verify_gcd_families(m, families)]
 
 
 def cmd_verify(args) -> int:
@@ -224,6 +252,13 @@ def cmd_verify(args) -> int:
         m_from, m_to = args.m
         if m_from <= 2 or m_to < m_from:
             return _fail_usage(f"need 2 < m_from <= m_to, got {m_from}..{m_to}")
+        if args.mode == "identity":
+            m_sum = (m_from + m_to) * (m_to - m_from + 1) // 2
+            if m_to > IDENTITY_MAX_M or m_sum > IDENTITY_MAX_M_SUM:
+                return _fail_usage(
+                    f"identity takes m <= {IDENTITY_MAX_M} and a sum of m of at most "
+                    f"{IDENTITY_MAX_M_SUM} per command, got {m_from}..{m_to} (sum {m_sum})"
+                )
     try:
         results = _verify_records(args)
     except oracle.VerificationError as exc:

@@ -25,8 +25,9 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 import time
-from collections.abc import Iterable, Iterator, Mapping, Set
+from collections.abc import Iterable, Iterator, Mapping, Sequence, Set
 from dataclasses import dataclass, field
 
 from .classification import FamilyTag, family_of
@@ -713,16 +714,18 @@ def _scan_axial_count(m: int) -> int:
 
     With a = 1+3i and b = 1+3j, (a, b, a) closes when u = (2a+b)/3 =
     1+2i+j is coprime to m.  For fixed i, u runs over m consecutive
-    integers as j does, so one prefix table of cop[u % m] gives each
-    row in one lookup, less the j = i term u = a.
+    integers as j does, so with upto[k] = cop[0 % m] + ... + cop[(k-1) % m]
+    row i counts upto[2i+m+1] - upto[2i+1], less the j = i term u = a.
+    Over i = 0..m-1 those terms are strided slices of upto and of the
+    repeated flags, so the whole count is three slice sums.
     """
-    cop = _coprime_flags(m)
-    upto = [0, *itertools.accumulate(cop[u % m] for u in range(3 * m))]
-    count = 0
-    for i in range(m):
-        a = 1 + 3 * i
-        count += upto[2 * i + m + 1] - upto[2 * i + 1] - cop[a % m]
-    return count
+    cop = _coprime_flags(m) * 3  # cop[u] for u = 0..3m-1
+    upto = [0, *itertools.accumulate(cop)]
+    return (
+        sum(upto[m + 1 : 3 * m + 1 : 2])  # upto[2i+m+1]
+        - sum(upto[1 : 2 * m + 1 : 2])  # upto[2i+1]
+        - sum(cop[1 : 3 * m : 3])  # cop[a] with a = 1+3i
+    )
 
 
 def _scan_circular_count(m: int) -> int:
@@ -735,23 +738,21 @@ def _scan_circular_count(m: int) -> int:
     over every j, the upto terms are range sums of upto, one lookup each
     in its own prefix table upto2, and the ok[1+2i+j] terms are a range
     sum of ok, one lookup in upto; over all pairs the ok[1+i+2j] terms
-    total the same (swap a and b).  Taking off the j = i term leaves O(1)
-    work per a after the O(m) tables.  Every class is hit exactly three
-    times (its cyclic shifts).
+    total the same (swap a and b).  Taking off the j = i term leaves a
+    few lookups per a, and over i = 0..m-1 each lookup runs along a
+    strided slice of its table, so the whole count is six slice sums of
+    the O(m) tables.  Every class is hit exactly three times (its cyclic
+    shifts).
     """
-    cop = _coprime_flags(m)
-    ok = [0, *(cop[s % m] for s in range(1, 3 * m))]
+    ok = _coprime_flags(m) * 3  # ok[s] = cop[s % m]; ok[0] = 0 as gcd(0, m) = m
     upto = list(itertools.accumulate(ok))
     # upto2[s] = upto[0] + ... + upto[s-1]
     upto2 = [0, *itertools.accumulate(upto)]
-    raw = 0
-    for i in range(m):
-        # over every j: the c in range, and the c = a
-        in_range = upto2[i + 2 * m] - 2 * upto2[i + m] + upto2[i]
-        c_is_a = upto[2 * i + m] - upto[2 * i]
-        # c = b totals the same as c = a; the j = i term is
-        # upto[2i+m] - upto[2i] - 2 ok[1+3i]
-        raw += in_range - 2 * c_is_a - (c_is_a - 2 * ok[1 + 3 * i])
+    # per i: the c in range over every j, less c = a, c = b (which totals
+    # the same as c = a) and the j = i term upto[2i+m] - upto[2i] - 2 ok[1+3i]
+    in_range = sum(upto2[2 * m : 3 * m]) - 2 * sum(upto2[m : 2 * m]) + sum(upto2[:m])
+    c_is_a = sum(upto[m : 3 * m : 2]) - sum(upto[: 2 * m : 2])  # upto[2i+m] - upto[2i]
+    raw = in_range - 3 * c_is_a + 2 * sum(ok[1 : 3 * m : 3])
     if raw % 3:
         raise VerificationError(
             f"identity scan at m={m}: ordered circular triple count {raw} "
@@ -794,50 +795,75 @@ def verify_theorem_gcd(m: int, family: str) -> dict:
     (a, b, a) * m is a valid walk iff gcd(2a + b, 3m) = 3.  For circular,
     every pairwise-distinct residue-1 triple: valid iff gcd(a+b+c, 3m) = 3.
     Returns the ``verify`` record, or raises VerificationError with the
-    first counterexample, in the order a, then b, then c.
+    first counterexample, in the order a, then b, then c.  The check is
+    ``verify_gcd_families(m, (family,))``.
+    """
+    return verify_gcd_families(m, (family,))[0]
+
+
+def verify_gcd_families(m: int, families: Sequence[str]) -> list[dict]:
+    """``verify_theorem_gcd`` for each family in ``families`` from one pass
+    of the walk kernel: the walked sets of m and the third-side row of each
+    first side a are built once and read by every family.
 
     The walk side is the kernel's third-side mask of each (a, b)
     (``_third_sides``), the gcd side the mask ``_gcd_sums(n)`` of the
     sums the rule admits.  Axial reads bit a of the third-side mask and
     bit 2a + b of the rule.  Circular compares the whole third-side mask
     with the rule rotated back by a + b, on the residue-1 bits c != a, b;
-    the lowest bit where they differ is the first counterexample.
+    the lowest bit where they differ is the first counterexample.  Returns
+    one record per family, in the order given.  When several families
+    fail, the error is the first counterexample of the first failing
+    family in that order, as if each were checked in turn.
     """
     _require_family_m(m)
-    if family not in ("axial", "circular"):
-        raise ValueError(f"family must be 'axial' or 'circular', got {family!r}")
+    for family in families:
+        if family not in ("axial", "circular"):
+            raise ValueError(f"family must be 'axial' or 'circular', got {family!r}")
     n = 3 * m
     sets = _walk_sets(m)
     rule = _gcd_sums(n)
+    wants = _rotated_back(rule, n)  # bit c of wants[x]: the rule admits c + x
     vals = range(1, n - 1, 3)
-    if family == "axial":
-        for a in vals:
-            thirds = _third_sides(sets, n, a)
-            for b in vals:
-                if b == a:
-                    continue
-                walk_ok = bool(thirds[(a + b) % n] >> a & 1)
-                if walk_ok != bool(rule >> (2 * a + b) % n & 1):
-                    raise VerificationError(
-                        f"axial biconditional fails at m={m}, (a,b)=({a},{b}): "
-                        f"walk={walk_ok}, gcd(2a+b,3m)={math.gcd(2 * a + b, n)}"
-                    )
-    else:
-        wants = _rotated_back(rule, n)  # bit c of wants[x]: the rule admits c + x
-        residue1 = sum(1 << c for c in vals)
-        for a in vals:
-            thirds = _third_sides(sets, n, a)
+    residue1 = sum(1 << c for c in vals)
+    # the first counterexample of each family; a family stops at its first
+    failed: dict[str, str] = {}
+    for a in vals:
+        live = [f for f in families if f not in failed]
+        if not live:
+            break
+        thirds = _third_sides(sets, n, a)
+        # As b runs over vals, x = a + b mod n takes each value 2 mod 3 once.
+        # Where the walk and the rule agree on every residue-1 c of every
+        # such x, the row holds no counterexample of either family.
+        differ = functools.reduce(operator.or_, map(operator.xor, thirds[2::3], wants[2::3]))
+        if not differ & residue1:
+            continue
+        for family in live:
             for b in vals:
                 if b == a:
                     continue
                 x = (a + b) % n
-                diff = (thirds[x] ^ wants[x]) & residue1 & ~(1 << a | 1 << b)
-                if diff:
-                    c = (diff & -diff).bit_length() - 1
-                    walk_ok = bool(thirds[x] >> c & 1)
-                    raise VerificationError(
-                        f"circular biconditional fails at m={m}, "
-                        f"(a,b,c)=({a},{b},{c}): walk={walk_ok}, "
-                        f"gcd(a+b+c,3m)={math.gcd(a + b + c, n)}"
-                    )
-    return {"m": m, "family": family, "ok": True}
+                if family == "axial":
+                    walk_ok = bool(thirds[x] >> a & 1)
+                    if walk_ok != bool(rule >> (2 * a + b) % n & 1):
+                        failed[family] = (
+                            f"axial biconditional fails at m={m}, (a,b)=({a},{b}): "
+                            f"walk={walk_ok}, gcd(2a+b,3m)={math.gcd(2 * a + b, n)}"
+                        )
+                        break
+                else:
+                    diff = (thirds[x] ^ wants[x]) & residue1 & ~(1 << a | 1 << b)
+                    if diff:
+                        c = (diff & -diff).bit_length() - 1
+                        walk_ok = bool(thirds[x] >> c & 1)
+                        failed[family] = (
+                            f"circular biconditional fails at m={m}, "
+                            f"(a,b,c)=({a},{b},{c}): walk={walk_ok}, "
+                            f"gcd(a+b+c,3m)={math.gcd(a + b + c, n)}"
+                        )
+                        break
+    for family in families:
+        if family in failed:
+            raise VerificationError(failed[family])
+    return [{"m": m, "family": family, "ok": True} for family in families]

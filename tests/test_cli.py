@@ -55,6 +55,40 @@ class TestCount:
         assert rc == 2
         assert "bad range" in err
 
+    def test_rejects_range_over_budget(self, capfd, monkeypatch):
+        built = []
+        monkeypatch.setattr(enumeration, "counts_table", lambda *r: built.append(r) or [])
+        top = 2 + cli.COUNT_MAX_ROWS
+        assert run(["count", "--m", f"3..{top}"], capfd)[0] == 0
+        assert built[0][0] == 3 and built[-1][1] == top
+        built.clear()
+        rc, out, err = run(["count", "--m", f"3..{top + 1}"], capfd)
+        assert (rc, out, built) == (2, "", [])
+        assert err == (
+            f"error: count prints at most {cli.COUNT_MAX_ROWS} rows per command, "
+            f"got {cli.COUNT_MAX_ROWS + 1} for 3..{top + 1}\n"
+        )
+
+    def test_budget_is_on_range_length_not_m(self, capfd):
+        rc, out, _ = run(["count", "--m", "10000000000..10000000001"], capfd)
+        assert rc == 0
+        assert out.splitlines()[1:] == [
+            f"{3 * m},{m},{ps.count_axial(m)},{ps.count_circular(m)}"
+            for m in (10**10, 10**10 + 1)
+        ]
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_rows_span_several_windows(self, capfd, monkeypatch, fmt):
+        argv = ["count", "--m", "3..40", "--format", fmt]
+        whole = run(argv, capfd)
+        # windows of 7 rows: 3..40 is five full windows and one of 3
+        monkeypatch.setattr(cli, "COUNT_WINDOW", 7)
+        assert run(argv, capfd) == whole
+        if fmt == "json":
+            want = [{"n": 3 * m, "m": m, "p": ps.count_axial(m), "q": ps.count_circular(m)}
+                    for m in range(3, 41)]
+            assert json.loads(whole[1]) == want
+
 
 class TestEnumerate:
     def test_axial_m3_records(self, capfd):
@@ -227,6 +261,29 @@ class TestVerify:
         report = json.loads(lines[-1])
         assert report["mode"] == "identity" and report["ok"] is True
         assert len(report["results"]) == 8
+
+    @pytest.mark.parametrize(
+        "m_range, total",
+        [("3..4472", 10_001_625), ("9990..10990", 10_500_490), ("1000001", 1_000_001)],
+    )
+    def test_identity_rejects_range_over_budget(self, capfd, monkeypatch, m_range, total):
+        monkeypatch.setattr(oracle, "verify_identity", lambda m: pytest.fail("scanned"))
+        rc, out, err = run(["verify", "--mode", "identity", "--m", m_range], capfd)
+        m_from, _, m_to = m_range.partition("..")
+        assert (rc, out) == (2, "")
+        assert err == (
+            "error: identity takes m <= 1000000 and a sum of m of at most 10000000 "
+            f"per command, got {m_from}..{m_to or m_from} (sum {total})\n"
+        )
+
+    def test_identity_budget_admits_its_edges(self, capfd, monkeypatch):
+        scanned = []
+        monkeypatch.setattr(
+            oracle, "verify_identity", lambda m: scanned.append(m) or {"m": m, "lhs": 0, "rhs": 0}
+        )
+        for m_range in ("3..4471", "1000000"):
+            assert run(["verify", "--mode", "identity", "--m", m_range], capfd)[0] == 0
+        assert scanned == [*range(3, 4472), 1_000_000]
 
     def test_gcd(self, capfd):
         rc, out, _ = run(["verify", "--mode", "gcd", "--m", "3..5"], capfd)

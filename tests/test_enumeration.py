@@ -14,7 +14,8 @@ from polysym import (
     SymmetryProfile,
     WalkError,
 )
-from polysym.enumeration import class_blocks, generator_rows
+import polysym.enumeration as enumeration
+from polysym.enumeration import class_blocks, generator_rows, window_totients
 from polysym.polygon_core import block_symmetry
 from expected_counts import EXPECTED_AXIAL, EXPECTED_CIRCULAR
 
@@ -55,6 +56,38 @@ class TestEulerPhi:
             ps.euler_phi(0)
 
 
+class TestWindowTotients:
+    def test_every_k_up_to_ten_thousand(self):
+        assert window_totients(1, 10**4) == [ps.euler_phi(k) for k in range(1, 10**4 + 1)]
+
+    def test_window_far_from_one(self):
+        lo = 10**10
+        assert window_totients(lo, lo + 200) == [ps.euler_phi(k) for k in range(lo, lo + 201)]
+
+    def test_short_windows_at_every_offset(self):
+        # a window starting anywhere meets the first multiple of each prime
+        # and prime power at every offset, or not at all
+        for lo in range(1, 400):
+            for size in (1, 2, 5, 17):
+                hi = lo + size - 1
+                assert window_totients(lo, hi) == [ps.euler_phi(k) for k in range(lo, hi + 1)]
+
+    def test_primes_below(self):
+        for limit in range(2, 300):
+            want = [p for p in range(2, limit) if all(p % d for d in range(2, p))]
+            assert list(enumeration._primes_below(limit)) == want, limit
+
+    def test_roots_past_the_sieve_bound_factor_each_value(self, monkeypatch):
+        monkeypatch.setattr(enumeration, "WINDOW_SIEVE_MAX_ROOT", 9)
+        monkeypatch.setattr(enumeration, "_primes_below", lambda limit: pytest.fail("sieved"))
+        assert window_totients(99, 130) == [ps.euler_phi(k) for k in range(99, 131)]
+
+    def test_rejects_empty_or_nonpositive_window(self):
+        for lo, hi in [(0, 5), (5, 4)]:
+            with pytest.raises(ValueError):
+                window_totients(lo, hi)
+
+
 class TestCounts:
     def test_axial_counts_match_frozen_table(self):
         for m, want in EXPECTED_AXIAL.items():
@@ -71,6 +104,14 @@ class TestCounts:
             assert row.n == 3 * row.m
             assert row.p_count == EXPECTED_AXIAL[row.m]
             assert row.q_count == EXPECTED_CIRCULAR[row.m]
+
+    def test_counts_table_matches_the_closed_counts(self):
+        for m_from, m_to in [(3, 2000), (10**6 - 3, 10**6 + 40), (3**15 - 5, 3**15 + 5)]:
+            rows = ps.counts_table(m_from, m_to)
+            assert [(r.n, r.m, r.p_count, r.q_count) for r in rows] == [
+                (3 * m, m, ps.count_axial(m), ps.count_circular(m))
+                for m in range(m_from, m_to + 1)
+            ]
 
     def test_rejects_m_too_small(self):
         for fn in (ps.count_axial, ps.count_circular, ps.enumerate_axial,

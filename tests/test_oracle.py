@@ -595,6 +595,49 @@ class TestGcdTheorem:
         # where the one circular sum, 12 = 3 mod 9, lies below s0 = 6
         assert raised == (5 if m == 3 else 2 * m)
 
+    def test_families_share_one_kernel_pass(self, monkeypatch):
+        calls = Counter()
+        real_sets, real_rows = oracle._walk_sets, oracle._third_sides
+        monkeypatch.setattr(oracle, "_walk_sets", lambda m: calls.update(["sets"]) or real_sets(m))
+        monkeypatch.setattr(
+            oracle, "_third_sides", lambda *args: calls.update(["rows"]) or real_rows(*args)
+        )
+        for m in range(3, 16):
+            calls.clear()
+            both = oracle.verify_gcd_families(m, ("axial", "circular"))
+            # one walked-set pass and one third-side row per first side
+            assert calls == {"sets": 1, "rows": m}, m
+            assert both == [ps.verify_theorem_gcd(m, f) for f in ("axial", "circular")]
+
+    @pytest.mark.parametrize("m", [3, 4, 7])
+    def test_both_failing_raise_the_axial_counterexample(self, m, monkeypatch):
+        # the circular fault sits at the first side a = 1, before the axial
+        # one at the last side: checked in one pass, the axial one still wins
+        n = 3 * m
+        last = n - 2
+        real = oracle._third_sides
+
+        def faulty(sets, n_, first):
+            thirds = real(sets, n_, first)
+            if first == 1:
+                thirds[5] ^= 1 << 7  # (1, 4, 7)
+            if first == last:
+                thirds[(last + 4) % n] ^= 1 << last  # (last, 4, last)
+            return thirds
+
+        monkeypatch.setattr(oracle, "_third_sides", faulty)
+        errors = {}
+        for family in ("axial", "circular"):
+            with pytest.raises(VerificationError) as err:
+                ps.verify_theorem_gcd(m, family)
+            errors[family] = str(err.value)
+        assert errors["axial"].startswith(f"axial biconditional fails at m={m}, (a,b)=({last},4)")
+        assert errors["circular"].startswith(f"circular biconditional fails at m={m}, (a,b,c)=(1,4,7)")
+        for families in [("axial", "circular"), ("circular", "axial")]:
+            with pytest.raises(VerificationError) as err:
+                oracle.verify_gcd_families(m, families)
+            assert str(err.value) == errors[families[0]]
+
     def test_excluded_pair_is_really_invalid(self):
         # gcd(2*1+7, 9) = 9, not 3, so (1,7) is no generator pair at m=3;
         # the walk indeed closes after the first block.

@@ -1,7 +1,8 @@
 """Peak memory of the output commands, in fresh interpreters.
 
 ``enumerate`` and ``render`` write each class as the class stream yields
-it, so their peak RSS does not grow with m.  Each command runs in its
+it, and ``count`` writes its rows a window at a time, so their peak RSS
+does not grow with m or with the range.  Each command runs in its
 own interpreter with stdout sent to ``/dev/null``, and reports its own
 ``ru_maxrss`` (KiB on Linux) on stderr.
 """
@@ -64,3 +65,12 @@ def test_output_commands_hold_flat_memory(tmp_path):
         low, high = peak_kib(*small), peak_kib(*large)
         assert high - low < 4 * MB, (command, low, high)
         assert high - base < 15 * MB, (command, base, high)
+
+
+def test_count_holds_flat_memory():
+    # Holding every row and one JSON string of them read 71 MB at m =
+    # 3..100000, against 16 MB for m = 3..4.  A window of rows at a time
+    # reads about 2 MB above m = 3..4 at m = 3..300000.
+    base = peak_kib("count", "--m", "3..4")
+    high = peak_kib("count", "--m", "3..200000", "--format", "json")
+    assert high - base < 5 * MB, (base, high)
