@@ -72,11 +72,20 @@ COUNT_WINDOW = 4096
 COUNT_MAX_ROWS = 3_000_000
 IDENTITY_MAX_M_SUM = 10_000_000
 IDENTITY_MAX_M = 1_000_000
+# ``enumerate`` and ``render`` spend their time, and fill their output, in
+# proportion to the sides they write: classes x n, which the closed counts
+# give before any output.  Each budget is about 1 GB of output.
+# ``enumerate`` writes about 4 bytes and 10 ns per side (m = 200 circular,
+# 630,432,000 sides: 2.5 GB in 5.3 s), ``render --axes --labels`` about
+# 160 bytes and 1.3 us per side (m = 60 circular, 3,286,080 sides: 531 MB
+# in 4.3 s).
+ENUMERATE_MAX_SIDES = 250_000_000
+RENDER_MAX_SIDES = 5_000_000
 
 
 def cmd_count(args) -> int:
     """The counts of every m of the range, one ``counts_table`` window of
-    ``COUNT_WINDOW`` values at a time, written a batch of rows at a time.
+    ``COUNT_WINDOW`` values at a time, each window's rows in one write.
     The JSON is the same as ``json.dumps`` of the row dicts with compact
     separators."""
     from . import enumeration
@@ -94,13 +103,16 @@ def cmd_count(args) -> int:
         for lo in range(m_from, m_to + 1, COUNT_WINDOW)
     )
     first = next(windows)  # a library error shows before any output
-    rows = itertools.chain.from_iterable(itertools.chain([first], windows))
+    windows = itertools.chain([first], windows)
     if args.format == "csv":
-        lines = (f"{r.n},{r.m},{r.p_count},{r.q_count}\n" for r in rows)
-        _write_joined("n,m,p_count,q_count\n", lines, "", "")
+        batches = ([f"{r.n},{r.m},{r.p_count},{r.q_count}\n" for r in rows] for rows in windows)
+        _write_joined("n,m,p_count,q_count\n", batches, "", "")
     else:
-        records = (f'{{"n":{r.n},"m":{r.m},"p":{r.p_count},"q":{r.q_count}}}' for r in rows)
-        _write_joined("[", records, ",", "]\n")
+        batches = (
+            [f'{{"n":{r.n},"m":{r.m},"p":{r.p_count},"q":{r.q_count}}}' for r in rows]
+            for rows in windows
+        )
+        _write_joined("[", batches, ",", "]\n")
     return 0
 
 
@@ -108,30 +120,57 @@ def cmd_count(args) -> int:
 ENUMERATE_BATCH = 256
 
 
-def _write_joined(head: str, rows, sep: str, tail: str) -> None:
-    """Write ``head``, the strings of the iterator ``rows`` joined by
-    ``sep``, and ``tail`` to stdout, one write per ``ENUMERATE_BATCH``
-    rows."""
+def _class_count(m: int, family: str) -> int:
+    from . import enumeration
+
+    return enumeration.count_axial(m) if family == "axial" else enumeration.count_circular(m)
+
+
+def _sides_over_budget(what: str, budget: int, args) -> str | None:
+    """The usage error when the classes of ``args.family`` at ``args.m``
+    have more than ``budget`` sides in all (classes x 3m), else None.
+    Every family has at least m - 1 classes, so an m with 3m(m - 1) past
+    the budget is refused without factoring it."""
+    m, family = args.m, args.family
+    if 3 * m * (m - 1) > budget:
+        got = f"more than {budget}"
+    else:
+        got = _class_count(m, family) * 3 * m
+        if got <= budget:
+            return None
+    return (
+        f"{what} at most {budget} sides (classes x 3m) per command, "
+        f"got {got} for --m {m} --family {family}"
+    )
+
+
+def _write_joined(head: str, batches, sep: str, tail: str) -> None:
+    """Write ``head``, the strings of every list in ``batches`` joined by
+    ``sep``, and ``tail`` to stdout, one write per batch.  Each batch
+    holds at least one string."""
     write = sys.stdout.write
     write(head)
     lead = ""
-    while chunk := list(itertools.islice(rows, ENUMERATE_BATCH)):
-        write(lead + sep.join(chunk))
+    for batch in batches:
+        write(lead + sep.join(batch))
         lead = sep
     write(tail)
 
 
 def cmd_enumerate(args) -> int:
     """One record per class, in class order, written as the class stream
-    yields them, a batch of records at a time.
+    yields them, ``ENUMERATE_BATCH`` records at a time.
 
-    Each record's sides are its canonical 3-block repeated m times, so the
-    block's text is formatted once and repeated.  Every class of a family
-    has the same equality pattern among its block's entries (a != b in
-    (a, b, a), three distinct entries in (a, b, c)), so one
-    ``block_symmetry`` call gives the profile of every record.  The JSON
-    is the same as ``json.dumps`` of the record dicts with compact
-    separators.
+    Each batch is one list comprehension over the stream with a fixed
+    template per family and format, which unpacks the generators as
+    (a, b) or (a, b, c).  A record's sides are its canonical 3-block
+    repeated m times, so the block's text is formatted with its trailing
+    separator, repeated m - 1 times, and followed by the last block.
+    Every class of a family has the same equality pattern among its
+    block's entries (a != b in (a, b, a), three distinct entries in
+    (a, b, c)), so one ``block_symmetry`` call gives the profile of every
+    record.  The JSON is the same as ``json.dumps`` of the record dicts
+    with compact separators.
     """
     from . import enumeration, polygon_core
 
@@ -140,30 +179,44 @@ def cmd_enumerate(args) -> int:
         return _fail_usage(f"family polygons need m > 2, got m={m}")
     n = 3 * m
     family = args.family
+    if error := _sides_over_budget("enumerate prints", ENUMERATE_MAX_SIDES, args):
+        return _fail_usage(error)
     classes = enumeration.class_blocks(m, family)
     first = next(classes)  # every family has a class at every m > 2
     profile = polygon_core.block_symmetry(n, first[2]).profile
-    classes = itertools.chain([first], classes)
+    take = functools.partial(
+        itertools.islice, itertools.chain([first], classes), ENUMERATE_BATCH
+    )
     rot, axes = profile.rotation_order, profile.axis_count
+    k = m - 1  # blocks before the last one
     if args.format == "json":
         head = f'{{"n":{n},"m":{m},"family":"{family}","generators":['
         tail = f',"rotation_order":{rot},"axis_count":{axes}}}'
-        rows = (
-            f'{head}{",".join(map(str, gens))}],"sides":['
-            f'{",".join([f"{x},{y},{z}"] * m)}],"u":{u}{tail}'
-            for gens, u, (x, y, z) in classes
-        )
-        _write_joined("[", rows, ",", "]\n")
+        if family == "axial":
+            batches = iter(lambda: [
+                f'{head}{a},{b}],"sides":[{f"{x},{y},{z}," * k}{x},{y},{z}],"u":{u}{tail}'
+                for (a, b), u, (x, y, z) in take()
+            ], [])
+        else:
+            batches = iter(lambda: [
+                f'{head}{a},{b},{c}],"sides":[{f"{x},{y},{z}," * k}{x},{y},{z}],"u":{u}{tail}'
+                for (a, b, c), u, (x, y, z) in take()
+            ], [])
+        _write_joined("[", batches, ",", "]\n")
     else:
         head = f"{n},{m},{family},"
         tail = f",{rot},{axes},"
-        pad = "," if family == "axial" else ""  # axial records leave column c empty
-        rows = (
-            f'{head}{",".join(map(str, gens))}{pad},{u}{tail}'
-            f'{" ".join([f"{x} {y} {z}"] * m)}\n'
-            for gens, u, (x, y, z) in classes
-        )
-        _write_joined("n,m,family,a,b,c,u,rotation_order,axis_count,sides\n", rows, "", "")
+        if family == "axial":  # axial records leave column c empty
+            batches = iter(lambda: [
+                f'{head}{a},{b},,{u}{tail}{f"{x} {y} {z} " * k}{x} {y} {z}\n'
+                for (a, b), u, (x, y, z) in take()
+            ], [])
+        else:
+            batches = iter(lambda: [
+                f'{head}{a},{b},{c},{u}{tail}{f"{x} {y} {z} " * k}{x} {y} {z}\n'
+                for (a, b, c), u, (x, y, z) in take()
+            ], [])
+        _write_joined("n,m,family,a,b,c,u,rotation_order,axis_count,sides\n", batches, "", "")
     return 0
 
 
@@ -291,9 +344,9 @@ def cmd_render(args) -> int:
     if args.columns < 1:
         return _fail_usage(f"columns must be at least 1, got {args.columns}")
     n = 3 * m
-    count = (
-        enumeration.count_axial(m) if args.family == "axial" else enumeration.count_circular(m)
-    )
+    if error := _sides_over_budget("render draws", RENDER_MAX_SIDES, args):
+        return _fail_usage(error)
+    count = _class_count(m, args.family)
     cells = (
         polygon_core.SideTuple(n, (gens if len(gens) == 3 else (*gens, gens[0])) * m)
         for gens, _, _ in enumeration.class_blocks(m, args.family)

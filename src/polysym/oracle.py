@@ -709,8 +709,9 @@ def _coprime_flags(m: int) -> list[int]:
     return [1 if math.gcd(u, m) == 1 else 0 for u in range(m)]
 
 
-def _scan_axial_count(m: int) -> int:
-    """Axial class count by counting every ordered residue-1 pair (no formulas).
+def _scan_axial_count(flags: list[int]) -> int:
+    """Axial class count at m = len(flags) by counting every ordered
+    residue-1 pair (no formulas); ``flags`` is ``_coprime_flags(m)``.
 
     With a = 1+3i and b = 1+3j, (a, b, a) closes when u = (2a+b)/3 =
     1+2i+j is coprime to m.  For fixed i, u runs over m consecutive
@@ -719,7 +720,8 @@ def _scan_axial_count(m: int) -> int:
     Over i = 0..m-1 those terms are strided slices of upto and of the
     repeated flags, so the whole count is three slice sums.
     """
-    cop = _coprime_flags(m) * 3  # cop[u] for u = 0..3m-1
+    m = len(flags)
+    cop = flags * 3  # cop[u] for u = 0..3m-1
     upto = [0, *itertools.accumulate(cop)]
     return (
         sum(upto[m + 1 : 3 * m + 1 : 2])  # upto[2i+m+1]
@@ -728,8 +730,9 @@ def _scan_axial_count(m: int) -> int:
     )
 
 
-def _scan_circular_count(m: int) -> int:
-    """Circular class count by counting every ordered residue-1 triple.
+def _scan_circular_count(flags: list[int]) -> int:
+    """Circular class count at m = len(flags) by counting every ordered
+    residue-1 triple; ``flags`` is ``_coprime_flags(m)``.
 
     With a, b, c = 1+3i, 1+3j, 1+3k, the triple closes when
     s = (a+b+c)/3 = 1+i+j+k is coprime to m; ok[s] flags that and
@@ -744,7 +747,8 @@ def _scan_circular_count(m: int) -> int:
     the O(m) tables.  Every class is hit exactly three times (its cyclic
     shifts).
     """
-    ok = _coprime_flags(m) * 3  # ok[s] = cop[s % m]; ok[0] = 0 as gcd(0, m) = m
+    m = len(flags)
+    ok = flags * 3  # ok[s] = cop[s % m]; ok[0] = 0 as gcd(0, m) = m
     upto = list(itertools.accumulate(ok))
     # upto2[s] = upto[0] + ... + upto[s-1]
     upto2 = [0, *itertools.accumulate(upto)]
@@ -765,16 +769,18 @@ def verify_identity(m: int) -> dict:
     """Check m^2 phi(m) = 3|Q| + 3|P| + phi(3m)/2 with scanned |P|, |Q|.
 
     The right side counts the ordered residue-1 generator pairs and
-    triples through a coprimality table (``_scan_axial_count``,
-    ``_scan_circular_count``, O(m) each), not the closed count formulas.
+    triples through one coprimality table, built once and read by both
+    ``_scan_axial_count`` and ``_scan_circular_count`` (O(m) each), not
+    through the closed count formulas.
     Returns the ``verify`` record; raises VerificationError on mismatch
     or when the triple count breaks its divisibility by 3.
     """
     _require_family_m(m)
     lhs = m * m * euler_phi(m)
+    flags = _coprime_flags(m)
     rhs = (
-        3 * _scan_circular_count(m)
-        + 3 * _scan_axial_count(m)
+        3 * _scan_circular_count(flags)
+        + 3 * _scan_axial_count(flags)
         + euler_phi(3 * m) // 2
     )
     if lhs != rhs:

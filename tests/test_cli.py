@@ -127,6 +127,42 @@ class TestEnumerate:
         assert rc == 2
         assert "m > 2" in err
 
+    @pytest.mark.parametrize("family", ["axial", "circular"])
+    def test_budget_admits_its_edge(self, capfd, monkeypatch, family):
+        # at m = 5 the budget is set to the family's own classes x 15 sides
+        count = ps.count_axial(5) if family == "axial" else ps.count_circular(5)
+        argv = ["enumerate", "--m", "5", "--family", family]
+        monkeypatch.setattr(cli, "ENUMERATE_MAX_SIDES", 15 * count)
+        rc, out, _ = run(argv, capfd)
+        assert rc == 0 and len(json.loads(out)) == count
+        monkeypatch.setattr(cli, "ENUMERATE_MAX_SIDES", 15 * count - 1)
+        monkeypatch.setattr(enumeration, "class_blocks", lambda m, f: pytest.fail("streamed"))
+        assert run(argv, capfd) == (
+            2,
+            "",
+            f"error: enumerate prints at most {15 * count - 1} sides (classes x 3m) "
+            f"per command, got {15 * count} for --m 5 --family {family}\n",
+        )
+
+    def test_rejects_output_over_budget(self, capfd):
+        # 1,050,720 records, about 2.5 GB of JSON
+        rc, out, err = run(["enumerate", "--m", "200", "--family", "circular"], capfd)
+        assert (rc, out) == (2, "")
+        assert err == (
+            "error: enumerate prints at most 250000000 sides (classes x 3m) per command, "
+            "got 630432000 for --m 200 --family circular\n"
+        )
+
+    def test_refuses_a_huge_m_without_counting_its_classes(self, capfd, monkeypatch):
+        monkeypatch.setattr(enumeration, "euler_phi", lambda k: pytest.fail("factored"))
+        m = 10**30 + 57
+        rc, out, err = run(["enumerate", "--m", str(m), "--family", "axial"], capfd)
+        assert (rc, out) == (2, "")
+        assert err == (
+            "error: enumerate prints at most 250000000 sides (classes x 3m) per command, "
+            f"got more than 250000000 for --m {m} --family axial\n"
+        )
+
     def test_reingestion_through_classify(self, capfd):
         for fam in ("axial", "circular"):
             rc, out, _ = run(["enumerate", "--m", "4", "--family", fam], capfd)
@@ -284,6 +320,17 @@ class TestVerify:
         for m_range in ("3..4471", "1000000"):
             assert run(["verify", "--mode", "identity", "--m", m_range], capfd)[0] == 0
         assert scanned == [*range(3, 4472), 1_000_000]
+
+    def test_identity_builds_the_flags_once_per_m(self, capfd, monkeypatch):
+        built = []
+        real = oracle._coprime_flags
+        monkeypatch.setattr(oracle, "_coprime_flags", lambda m: built.append(m) or real(m))
+        rc, out, _ = run(["verify", "--mode", "identity", "--m", "3..5"], capfd)
+        assert (rc, built) == (0, [3, 4, 5])
+        assert out.splitlines()[:3] == [
+            f"identity m={m}: {m * m * ps.euler_phi(m)} == {m * m * ps.euler_phi(m)} ok"
+            for m in (3, 4, 5)
+        ]
 
     def test_gcd(self, capfd):
         rc, out, _ = run(["verify", "--mode", "gcd", "--m", "3..5"], capfd)
@@ -505,7 +552,7 @@ class TestVerifyFailures:
 
     def test_identity(self, capfd, monkeypatch):
         real = oracle._scan_axial_count
-        monkeypatch.setattr(oracle, "_scan_axial_count", lambda m: real(m) + 1)
+        monkeypatch.setattr(oracle, "_scan_axial_count", lambda flags: real(flags) + 1)
         self.assert_fails(
             ["--mode", "identity", "--m", "3..3"], "identity fails at m=3: 18 != 21", capfd
         )
@@ -552,7 +599,49 @@ class TestVerifyFailures:
         )
 
 
+class TestBudgets:
+    def test_every_size_in_use_is_under_its_budget(self):
+        # enumerate m <= 60 and render m <= 20 in the tests, README and benchmark
+        for family, count in (("axial", ps.count_axial), ("circular", ps.count_circular)):
+            assert count(60) * 180 <= cli.ENUMERATE_MAX_SIDES, family
+            assert count(20) * 60 <= cli.RENDER_MAX_SIDES, family
+
+    def test_every_family_has_m_minus_one_classes(self):
+        # the bound that refuses a huge m without factoring it
+        for row in enumeration.counts_table(3, 3000):
+            assert min(row.p_count, row.q_count) >= row.m - 1, row.m
+
+
 class TestRender:
+    @pytest.mark.parametrize("family", ["axial", "circular"])
+    def test_budget_admits_its_edge(self, capfd, monkeypatch, tmp_path, family):
+        count = ps.count_axial(5) if family == "axial" else ps.count_circular(5)
+        out_path = tmp_path / "g.svg"
+        argv = ["render", "--m", "5", "--family", family, "--out", str(out_path)]
+        monkeypatch.setattr(cli, "RENDER_MAX_SIDES", 15 * count)
+        assert run(argv, capfd) == (0, f"wrote {out_path}: {count} classes\n", "")
+        out_path.unlink()
+        monkeypatch.setattr(cli, "RENDER_MAX_SIDES", 15 * count - 1)
+        assert run(argv, capfd) == (
+            2,
+            "",
+            f"error: render draws at most {15 * count - 1} sides (classes x 3m) "
+            f"per command, got {15 * count} for --m 5 --family {family}\n",
+        )
+        assert list(tmp_path.iterdir()) == []
+
+    def test_rejects_a_gallery_over_budget(self, capfd, tmp_path):
+        # 7,999,488 sides, about 1.3 GB of SVG
+        out_path = tmp_path / "g.svg"
+        argv = ["render", "--m", "64", "--family", "circular", "--out", str(out_path)]
+        assert run(argv, capfd) == (
+            2,
+            "",
+            "error: render draws at most 5000000 sides (classes x 3m) per command, "
+            "got 7999488 for --m 64 --family circular\n",
+        )
+        assert list(tmp_path.iterdir()) == []
+
     def test_writes_gallery(self, capfd, tmp_path):
         out_path = tmp_path / "p3.svg"
         rc, out, _ = run(
@@ -740,10 +829,15 @@ class TestTopLevel:
         assert out1 == out2
 
     @pytest.mark.parametrize(
-        "argv", [["count", "--m", "3..5000"], ["enumerate", "--m", "60", "--family", "circular"]]
+        "argv",
+        [
+            ["count", "--m", "3..5000"],
+            ["enumerate", "--m", "60", "--family", "circular"],
+            ["enumerate", "--m", "60", "--family", "circular", "--format", "csv"],
+        ],
     )
     def test_closed_stdout_exits_one_without_a_traceback(self, argv):
-        # both outputs outgrow the pipe, so the command is still writing
+        # every output outgrows the pipe, so the command is still writing
         # when the reader closes it after the first bytes (the JSON is one
         # line)
         proc = subprocess.Popen(

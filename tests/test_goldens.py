@@ -30,6 +30,7 @@ import random
 
 import pytest
 
+import polysym.cli as cli
 from polysym import RenderOptions, SideTuple, gallery_svg, polygon_svg
 from polysym.cli import main
 from polysym.enumeration import enumerate_axial, enumerate_circular
@@ -331,6 +332,18 @@ def test_library_svg_is_byte_identical(name):
 @pytest.mark.parametrize("family", ["axial", "circular"])
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_enumerate_output_is_byte_identical(m, family, fmt):
+    digest = hashlib.sha256(_run(enumerate_argv(m, family, fmt))).hexdigest()
+    assert digest == ENUMERATE_GOLDEN[f"{m}/{family}/{fmt}"]
+
+
+@pytest.mark.parametrize("batch", [1, 7, 11])
+@pytest.mark.parametrize("m", [12, 40])
+@pytest.mark.parametrize("family", ["axial", "circular"])
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_enumerate_batch_boundaries_keep_the_bytes(monkeypatch, batch, m, family, fmt):
+    # the class counts are 42, 148, 624 and 7904: 7 divides only 42, so the
+    # last batch is full there and short elsewhere; 11 divides none
+    monkeypatch.setattr(cli, "ENUMERATE_BATCH", batch)
     digest = hashlib.sha256(_run(enumerate_argv(m, family, fmt))).hexdigest()
     assert digest == ENUMERATE_GOLDEN[f"{m}/{family}/{fmt}"]
 

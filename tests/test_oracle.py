@@ -20,6 +20,7 @@ from polysym import (
 import polysym.oracle as oracle
 from polysym.oracle import (
     RowBlocks,
+    _coprime_flags,
     _scan_axial_count,
     _scan_circular_count,
     _sweep_shard,
@@ -533,17 +534,19 @@ def slice_scan_circular_count(m):
 class TestScanCounts:
     def test_match_enumeration_cardinalities(self):
         for m in range(3, 101):
-            assert _scan_axial_count(m) == ps.count_axial(m), m
-            assert _scan_circular_count(m) == ps.count_circular(m), m
+            flags = _coprime_flags(m)
+            assert _scan_axial_count(flags) == ps.count_axial(m), m
+            assert _scan_circular_count(flags) == ps.count_circular(m), m
 
     def test_match_literal_pair_and_triple_counts(self):
         for m in range(3, 26):
-            assert _scan_axial_count(m) == reference_axial_count(m), m
-            assert _scan_circular_count(m) == reference_circular_count(m), m
+            flags = _coprime_flags(m)
+            assert _scan_axial_count(flags) == reference_axial_count(m), m
+            assert _scan_circular_count(flags) == reference_circular_count(m), m
 
     def test_prefix_scan_matches_slice_scan(self):
         for m in range(3, 61):
-            assert _scan_circular_count(m) == slice_scan_circular_count(m), m
+            assert _scan_circular_count(_coprime_flags(m)) == slice_scan_circular_count(m), m
 
 
 class TestIdentity:
